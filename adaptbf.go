@@ -148,10 +148,6 @@ type (
 	MatrixScenario = harness.Scenario
 	// MatrixCellParams is a scenario generator's view of one cell.
 	MatrixCellParams = harness.CellParams
-	// MatrixOptions tunes a matrix run (worker count, progress hook).
-	//
-	// Deprecated: use MatrixRunOption values with RunMatrixCtx.
-	MatrixOptions = harness.Options
 	// MatrixResult holds every cell's outcome in canonical order.
 	MatrixResult = harness.MatrixResult
 	// MatrixCellResult is one cell's outcome (result, digests, backend).
@@ -215,15 +211,6 @@ func ReplayWorkloadMatrix(path string, policies []Policy) (ScenarioMatrix, error
 // count.
 func RunMatrixCtx(ctx context.Context, m ScenarioMatrix, opts ...MatrixRunOption) (*MatrixResult, error) {
 	return harness.Run(ctx, m, opts...)
-}
-
-// RunMatrix executes every cell of the matrix concurrently; the merged
-// result is identical whatever the worker count.
-//
-// Deprecated: use RunMatrixCtx with functional options; RunMatrix keeps
-// the pre-context signature working for one release.
-func RunMatrix(m ScenarioMatrix, opt MatrixOptions) (*MatrixResult, error) {
-	return harness.RunOptions(m, opt)
 }
 
 // DefaultScenarios returns the materialized preset trio — striped

@@ -103,12 +103,12 @@ func TestFacadeLiveCluster(t *testing.T) {
 }
 
 func TestFacadeMatrix(t *testing.T) {
-	res, err := adaptbf.RunMatrix(adaptbf.ScenarioMatrix{
+	res, err := adaptbf.RunMatrixCtx(context.Background(), adaptbf.ScenarioMatrix{
 		Scenarios: adaptbf.DefaultScenarios(),
 		Policies:  []adaptbf.Policy{adaptbf.PolicyNoBW, adaptbf.PolicyAdapTBF},
 		Scales:    []int64{256},
 		OSSes:     []int{2},
-	}, adaptbf.MatrixOptions{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

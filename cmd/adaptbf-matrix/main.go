@@ -143,6 +143,7 @@ import (
 	"adaptbf/internal/harness"
 	"adaptbf/internal/metrics"
 	"adaptbf/internal/obs"
+	"adaptbf/internal/policy"
 	"adaptbf/internal/report"
 	"adaptbf/internal/sim"
 )
@@ -352,7 +353,7 @@ func main() {
 		}
 		return names
 	}(), ","), "comma-separated scenario names (available: "+strings.Join(harness.ScenarioNames(), ", ")+"; the generative streaming scenarios need -backend sim)")
-	policies := flag.String("policies", "nobw,static,adaptbf,sfq", "comma-separated policies (nobw, static, adaptbf, sfq, edt, gift)")
+	policies := flag.String("policies", "nobw,static,adaptbf,sfq", "comma-separated policies ("+policy.Flags()+")")
 	scales := flag.String("scales", "64", "comma-separated volume divisors (1 = paper scale)")
 	osses := flag.String("osses", "1,2", "comma-separated OSS counts")
 	seeds := flag.String("seeds", "1", "comma-separated seeds")

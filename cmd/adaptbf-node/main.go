@@ -51,6 +51,7 @@ import (
 	"adaptbf/internal/cluster"
 	"adaptbf/internal/device"
 	"adaptbf/internal/obs"
+	"adaptbf/internal/policy"
 	"adaptbf/internal/transport"
 )
 
@@ -58,7 +59,7 @@ func main() {
 	var (
 		role     = flag.String("role", "oss", "process role: oss or coord")
 		listen   = flag.String("listen", "127.0.0.1:0", "TCP listen address (port 0 picks one; see the ADDR line)")
-		policy   = flag.String("policy", "nobw", "bandwidth policy beside the OSS: nobw, static, adaptbf, sfq, edt, gift")
+		polName  = flag.String("policy", "nobw", "bandwidth policy beside the OSS: "+policy.Flags())
 		rate     = flag.Float64("rate", 500, "token capacity T_i in tokens/s")
 		period   = flag.Duration("period", 100*time.Millisecond, "controller/coordinator decision epoch (OSS time)")
 		depth    = flag.Float64("depth", 16, "TBF bucket depth")
@@ -109,14 +110,14 @@ func main() {
 			Device:      dev,
 			BucketDepth: *depth,
 			Speedup:     *speedup,
+			Admission:   admCfg,
 		},
-		Policy:       *policy,
+		Policy:       *polName,
 		MaxRate:      *rate,
 		Period:       *period,
 		SFQDepth:     *sfqDepth,
 		Nodes:        nodeMap,
 		CoordAddr:    *coord,
-		Admission:    admCfg,
 		Fault:        fault,
 		FaultSeed:    *seed,
 		DrainTimeout: *drain,

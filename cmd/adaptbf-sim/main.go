@@ -35,6 +35,7 @@ import (
 	"adaptbf"
 	"adaptbf/internal/config"
 	"adaptbf/internal/metrics"
+	"adaptbf/internal/policy"
 	"adaptbf/internal/sim"
 )
 
@@ -42,7 +43,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("adaptbf-sim: ")
 	configPath := flag.String("config", "", "scenario JSON file (omit for the built-in demo)")
-	policyFlag := flag.String("policy", "", "override the policy: nobw, static, or adaptbf")
+	policyFlag := flag.String("policy", "", "override the policy: "+policy.Flags())
 	csvPath := flag.String("csv", "", "also write the timeline as CSV to this file")
 	width := flag.Int("width", 72, "sparkline width")
 	flag.Parse()

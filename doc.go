@@ -90,13 +90,9 @@
 //	)
 //	rep := res.Report()
 //
-// Migration note: the pre-backend API — RunMatrix(m, MatrixOptions{
-// Workers: n, OnCell: fn}) — survives one release as a deprecated shim
-// for harness compatibility. It is exactly RunMatrixCtx(context.
-// Background(), m, WithMatrixWorkers(n), WithMatrixProgress(fn)); new
-// code should call RunMatrixCtx, which is the only path offering backend
-// selection, cancellation, per-cell timeouts, per-job digests, and
-// fail-fast dispatch (WithMatrixFailFast).
+// RunMatrixCtx is the one entry point: it offers backend selection,
+// cancellation, per-cell timeouts, per-job digests, progress
+// (WithMatrixProgress) and fail-fast dispatch (WithMatrixFailFast).
 //
 // From the command line: go run ./cmd/adaptbf-matrix -verify, or
 // -backend live -cell-timeout 2m for a wall-clock sweep.
@@ -156,14 +152,20 @@
 // never multiplies a token budget (pinned by a -race conservation
 // test).
 //
-// To add a live policy: give cluster.OSS whatever per-server gate or
-// rule machinery the mechanism needs (SFQ shows the gate seam,
-// requestGate; GIFT shows the coordinator-service pattern over
-// transport.Request.Payload), wire a policy arm into
-// harness.ClusterBackend.RunCell that stands the machinery up and folds
-// its accounting into sim.Result, and extend the six-policy live smoke
+// What each policy is — its paper name, its flags, which gate it
+// schedules through and which control loop runs beside each server — is
+// one row of one table (internal/policy). The simulator, the storage
+// server (cluster.Server, the same OSS-plus-control-loop whether it runs
+// as goroutines or behind an adaptbf-node listener), both wall-clock
+// backends (one runner, harness.runLiveCell, over a placement that only
+// decides where the servers run) and the CLIs read that table; none of
+// them switches on a policy. To add a policy: write its scheduler (the
+// policy.Gate contract), then add its table row. A row that names a new
+// gate kind or control loop also needs that kind's arm where gates are
+// built (sim.newSimulation, cluster.NewOSS) or loops are started
+// (sim's start, cluster.StartServer). Extend the six-policy live smoke
 // in CI. Anything deterministic belongs in the simulator; anything
-// wall-clock belongs here.
+// wall-clock belongs in package cluster.
 //
 // How far apart the two substrates are is itself measured:
 // RunCalibrationStudy (CLI: -study calibration) executes the same grid

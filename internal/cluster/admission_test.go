@@ -182,19 +182,18 @@ func TestJobRunnerNeverRetriesRejections(t *testing.T) {
 	}
 }
 
-// TestNodeThreadsAdmission proves NodeConfig.Admission reaches the
+// TestNodeThreadsAdmission proves NodeConfig.OSS.Admission reaches the
 // served OSS and its counters surface in both the live (OpNodeStats)
 // and final (Close) stats — the path the remote backend's STATS
 // collection depends on.
 func TestNodeThreadsAdmission(t *testing.T) {
 	n, err := StartNode(NodeConfig{
 		Role: "oss",
-		OSS:  OSSConfig{Device: fastDevice()},
-		Admission: admission.Config{
+		OSS: OSSConfig{Device: fastDevice(), Admission: admission.Config{
 			Policy:            admission.PolicyTokenBucket,
 			CapacityBytes:     2 * kib64,
 			RefillBytesPerSec: kib64,
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,21 +6,17 @@ import (
 
 	"adaptbf/internal/edt"
 	"adaptbf/internal/obs"
+	"adaptbf/internal/policy"
 	"adaptbf/internal/rules"
 	"adaptbf/internal/tbf"
 )
 
-// seqGate is the single-threaded scheduler contract shared by
-// *tbf.Scheduler, *sfq.Scheduler, and *edt.Scheduler. The wrappers in
-// this file make one concurrency-safe — either behind a single lock
-// (lockedGate) or striped across independently locked shards
-// (shardedGate) — and are where gate_lock_wait_ns is observed, so
-// every gate reports comparable lock-wait numbers at the same seam.
-type seqGate interface {
-	Enqueue(req *tbf.Request, now int64)
-	Dequeue(now int64) (req *tbf.Request, wake int64, ok bool)
-	PendingJobsInto(dst map[string]int)
-}
+// The wrappers in this file make a single-threaded scheduler
+// (policy.Gate: *tbf.Scheduler, *sfq.Scheduler, *edt.Scheduler)
+// concurrency-safe — either behind a single lock (lockedGate) or striped
+// across independently locked shards (shardedGate) — and are where
+// gate_lock_wait_ns is observed, so every gate reports comparable
+// lock-wait numbers at the same seam.
 
 // observeLock acquires mu, recording the acquisition wait into waitH
 // when observability is on.
@@ -39,11 +35,11 @@ func observeLock(mu *sync.Mutex, waitH *obs.Histogram) {
 // sharded and EDT gates exist to relieve.
 type lockedGate struct {
 	mu    sync.Mutex
-	inner seqGate
+	inner policy.Gate
 	waitH *obs.Histogram
 }
 
-func newLockedGate(inner seqGate, waitH *obs.Histogram) *lockedGate {
+func newLockedGate(inner policy.Gate, waitH *obs.Histogram) *lockedGate {
 	return &lockedGate{inner: inner, waitH: waitH}
 }
 
@@ -80,7 +76,7 @@ func (g *lockedGate) withLock(fn func()) {
 // gateShard pairs one single-threaded scheduler with its stripe lock.
 type gateShard struct {
 	mu    sync.Mutex
-	inner seqGate
+	inner policy.Gate
 }
 
 // shardedGate stripes gate state across N independently locked shards
@@ -98,7 +94,7 @@ type shardedGate struct {
 	next   uint32 // rotating Dequeue start; mutated only by the dispatcher
 }
 
-func newShardedGate(inners []seqGate, waitH *obs.Histogram) *shardedGate {
+func newShardedGate(inners []policy.Gate, waitH *obs.Histogram) *shardedGate {
 	g := &shardedGate{shards: make([]*gateShard, len(inners)), waitH: waitH}
 	for i, in := range inners {
 		g.shards[i] = &gateShard{inner: in}
@@ -180,7 +176,7 @@ func NewShardedTBF(shards int, bucketDepth float64, waitH *obs.Histogram) *Shard
 		shards = DefaultGateShards
 	}
 	scheds := make([]*tbf.Scheduler, shards)
-	inners := make([]seqGate, shards)
+	inners := make([]policy.Gate, shards)
 	for i := range scheds {
 		scheds[i] = tbf.NewScheduler(tbf.Config{BucketDepth: bucketDepth})
 		inners[i] = scheds[i]
@@ -271,7 +267,7 @@ func newShardedEDT(shards int, cfg edt.Config, waitH *obs.Histogram) *shardedGat
 	if shards <= 0 {
 		shards = DefaultGateShards
 	}
-	inners := make([]seqGate, shards)
+	inners := make([]policy.Gate, shards)
 	for i := range inners {
 		inners[i] = edt.New(cfg)
 	}

@@ -88,26 +88,16 @@ func (c *GIFTCoordinator) Handle(req transport.Request, reply func(transport.Rep
 	reply(transport.Reply{Payload: buf.Bytes()})
 }
 
-// Walks reports how many target walks the coordinator has served.
-func (c *GIFTCoordinator) Walks() int64 {
+// Stats snapshots the coordinator as a node reports it: the walks served
+// and the bank's centralized state, read in one critical section.
+func (c *GIFTCoordinator) Stats() NodeStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.walks
-}
-
-// BankEntries reports the applications holding a non-zero coupon
-// balance.
-func (c *GIFTCoordinator) BankEntries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ctrl.BankEntries()
-}
-
-// OutstandingCoupons reports the total coupon balance still owed.
-func (c *GIFTCoordinator) OutstandingCoupons() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ctrl.OutstandingCoupons()
+	return NodeStats{
+		Walks:              c.walks,
+		BankEntries:        c.ctrl.BankEntries(),
+		CouponsOutstanding: c.ctrl.OutstandingCoupons(),
+	}
 }
 
 // GIFTAgentStats is a snapshot of one agent's accumulated coordination

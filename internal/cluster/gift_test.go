@@ -92,14 +92,14 @@ func TestGIFTCoordinatorConcurrentBankConsistency(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := coord.Walks(); got != clients*walksPer {
+	if got := coord.Stats().Walks; got != clients*walksPer {
 		t.Fatalf("coordinator served %d walks, want %d", got, clients*walksPer)
 	}
-	outstanding := coord.OutstandingCoupons()
+	outstanding := coord.Stats().CouponsOutstanding
 	if want := earned - redeemed; math.Abs(outstanding-want) > 1e-6*math.Max(1, want) {
 		t.Fatalf("coupon bank not conserved: outstanding %.6f, earned-redeemed %.6f", outstanding, want)
 	}
-	if coord.BankEntries() == 0 {
+	if coord.Stats().BankEntries == 0 {
 		t.Fatal("no application ever banked a coupon under idle/greedy demand")
 	}
 }
@@ -116,7 +116,7 @@ func TestGIFTCoordinatorRejectsBadTraffic(t *testing.T) {
 	if _, err := c.Call(transport.Request{Op: OpGIFTWalk, Payload: []byte("not gob")}); err == nil {
 		t.Fatal("garbage walk payload accepted")
 	}
-	if coord.Walks() != 0 {
+	if coord.Stats().Walks != 0 {
 		t.Fatal("rejected traffic counted as walks")
 	}
 }
@@ -192,7 +192,7 @@ func TestLiveGIFTAgentsDriveRules(t *testing.T) {
 	}
 	// Every agent-recorded walk was served centrally (the coordinator may
 	// have served one more if a walk was in flight at cancel time).
-	if int64(walks) > coord.Walks() {
-		t.Fatalf("agents recorded %d walks, coordinator served only %d", walks, coord.Walks())
+	if int64(walks) > coord.Stats().Walks {
+		t.Fatalf("agents recorded %d walks, coordinator served only %d", walks, coord.Stats().Walks)
 	}
 }

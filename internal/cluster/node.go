@@ -1,20 +1,16 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
-	"adaptbf/internal/admission"
-	"adaptbf/internal/controller"
 	"adaptbf/internal/obs"
+	"adaptbf/internal/policy"
 	"adaptbf/internal/transport"
-	"adaptbf/internal/workload"
 )
 
 // Control-plane opcodes a Node answers itself, in the same far-out range
@@ -35,42 +31,31 @@ const (
 	OpNodeStats uint8 = 0xF9
 )
 
-// A NodeConfig describes one adaptbf-node process: a storage server (or
-// GIFT coordinator) plus its policy machinery, served over TCP with
-// optional fault injection on every accepted connection.
+// A NodeConfig describes one adaptbf-node process: a Server (or a GIFT
+// coordinator) behind a TCP listener, with optional fault injection on
+// every accepted connection. The policy fields are handed to the Server
+// unchanged (see ServerConfig); what is the node's own is the listener,
+// the faults, the drain bound and the control opcodes.
 type NodeConfig struct {
 	// Role is "oss" (default) or "coord" (a GIFT coordinator only).
 	Role string
 	// Listen is the TCP listen address. Default "127.0.0.1:0".
 	Listen string
 
-	// OSS configures the storage server ("oss" role). For the "sfq"
-	// policy the node installs the SFQ gate itself from SFQDepth and
-	// Nodes — leave OSS.SFQ nil; likewise for "edt" and OSS.EDT, whose
-	// byte rates the node derives from Nodes and MaxRate.
+	// OSS configures the storage server ("oss" role).
 	OSS OSSConfig
-	// Policy names the bandwidth-control machinery beside the OSS:
-	// "nobw" (default), "static", "adaptbf", "sfq", "edt", or "gift".
+	// Policy is the policy's flag or an alias from package policy's
+	// table. Empty means the table's first row (no bandwidth control).
 	Policy string
-	// MaxRate is the target's token capacity in tokens/s (static,
-	// adaptbf, edt, gift) and the coordinator's per-walk capacity hint.
-	MaxRate float64
-	// Period is the controller/coordinator decision epoch in OSS time.
-	Period time.Duration
-	// SFQDepth is the SFQ(D) dispatch depth (sfq policy).
+	// MaxRate, Period, SFQDepth and Nodes are ServerConfig's fields of
+	// the same names; the coordinator role uses Period as its epoch.
+	MaxRate  float64
+	Period   time.Duration
 	SFQDepth int
-	// Nodes maps each job ID to its compute-node count — what static
-	// rules, the AdapTBF node mapper, and SFQ weights are derived from.
-	// Jobs not listed count as 1 node.
-	Nodes map[string]int
-	// CoordAddr is the GIFT coordinator's address (gift policy).
+	Nodes    map[string]int
+	// CoordAddr is the GIFT coordinator's address, dialed (and redialed)
+	// as the Server's Coord.
 	CoordAddr string
-
-	// Admission selects the OSS's overload-protection policy (zero =
-	// always-admit). Convenience: it is copied into OSS.Admission, so a
-	// spawner can thread the whole node through flags without touching
-	// the nested OSSConfig.
-	Admission admission.Config
 
 	// Fault, when nonzero, wraps every accepted connection so each
 	// message this node sends pays the profile's delays, seeded by
@@ -136,6 +121,13 @@ type NodeStats struct {
 	ShedRPCs     uint64 `json:"shed_rpcs,omitempty"`
 	OfferedBytes int64  `json:"offered_bytes,omitempty"`
 	GoodputBytes int64  `json:"goodput_bytes,omitempty"`
+
+	// A GIFT agent's coordination cost (see GIFTAgentStats), in a
+	// Server's final snapshot only. WalkTimes holds one entry per epoch,
+	// so it stays in memory: a STATS line carries the two counters.
+	RuleOps   int             `json:"rule_ops,omitempty"`
+	CtrlMsgs  int64           `json:"ctrl_msgs,omitempty"`
+	WalkTimes []time.Duration `json:"-"`
 }
 
 // MarshalLine renders the stats as one compact JSON object — the
@@ -150,15 +142,14 @@ func ParseNodeStats(line []byte) (NodeStats, error) {
 	return s, err
 }
 
-// A Node is one adaptbf-node process's core: a listener, the served OSS
-// or GIFT coordinator, and the policy machinery running beside it. Start
-// with StartNode; stop with Close (graceful drain).
+// A Node is one adaptbf-node process's core: a listener in front of a
+// Server or a GIFT coordinator. Start with StartNode; stop with Close
+// (graceful drain).
 type Node struct {
 	cfg    NodeConfig
 	ln     net.Listener
-	oss    *OSS
+	srv    *Server
 	coord  *GIFTCoordinator
-	agent  *GIFTAgent
 	acoord *transport.Redialer
 	obs    *obs.CellObs
 	start  time.Time
@@ -168,8 +159,6 @@ type Node struct {
 	obsDials   int64
 	obsRetries int64
 
-	stopCtls  context.CancelFunc
-	ctlWG     sync.WaitGroup
 	acceptWG  sync.WaitGroup
 	connWG    sync.WaitGroup
 	mu        sync.Mutex
@@ -180,14 +169,11 @@ type Node struct {
 	final     NodeStats
 }
 
-// StartNode validates the config, binds the listener, stands up the role
-// and policy machinery, and starts accepting connections.
+// StartNode validates the config, stands up the role, binds the
+// listener, and starts accepting connections.
 func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Role == "" {
 		cfg.Role = "oss"
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = "nobw"
 	}
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
@@ -198,11 +184,15 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if err := cfg.Fault.Validate(); err != nil {
 		return nil, err
 	}
-	switch cfg.Role {
-	case "oss", "coord":
-	default:
-		return nil, fmt.Errorf("cluster: unknown node role %q (want oss or coord)", cfg.Role)
+	var pol policy.Policy
+	if cfg.Policy != "" {
+		var err error
+		if pol, err = policy.Parse(cfg.Policy); err != nil {
+			return nil, fmt.Errorf("cluster: node: %w", err)
+		}
 	}
+	desc, _ := policy.Lookup(pol)
+	cfg.Policy = desc.Flag // health and stats report the canonical name
 
 	n := &Node{cfg: cfg, conns: make(map[net.Conn]struct{}), start: time.Now()}
 	if cfg.Obs {
@@ -214,124 +204,55 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			Metrics: obs.NewRegistry(),
 		}
 	}
-	ctlCtx, stopCtls := context.WithCancel(context.Background())
-	n.stopCtls = stopCtls
 
 	switch cfg.Role {
 	case "coord":
-		if cfg.Policy != "gift" && cfg.Policy != "nobw" {
-			return nil, fmt.Errorf("cluster: the coord role serves GIFT only (policy %q)", cfg.Policy)
+		// A coordinator runs no per-server control loop; naming a policy
+		// that has one is a mis-addressed flag.
+		if desc.Control != policy.CentralCoordinator && desc.Control != policy.NoControl {
+			return nil, fmt.Errorf("cluster: the coord role serves a central-coordinator policy only (policy %q)", cfg.Policy)
 		}
 		n.coord = NewGIFTCoordinator(cfg.Period)
 	case "oss":
-		ocfg := cfg.OSS
-		if err := cfg.Admission.Validate(); err != nil {
-			stopCtls()
+		if err := cfg.OSS.Admission.Validate(); err != nil {
 			return nil, err
 		}
-		if !cfg.Admission.IsAlways() {
-			ocfg.Admission = cfg.Admission
+		scfg := ServerConfig{
+			OSS:      cfg.OSS,
+			Policy:   pol,
+			MaxRate:  cfg.MaxRate,
+			Period:   cfg.Period,
+			SFQDepth: cfg.SFQDepth,
+			Nodes:    cfg.Nodes,
 		}
-		ocfg.Obs = n.obs
-		switch cfg.Policy {
-		case "sfq":
-			nodes := cfg.Nodes
-			ocfg.SFQ = &SFQConfig{
-				Depth: cfg.SFQDepth,
-				Weights: func(jobID string) float64 {
-					if k := nodes[jobID]; k > 0 {
-						return float64(k)
-					}
-					return 1
-				},
-			}
-		case "edt":
-			// The node-proportional byte-rate split StaticRules encodes
-			// as token rules (one token ≈ 1 MiB), expressed as the
-			// bytes/s EDT paces in.
-			nodes := cfg.Nodes
-			total := 0
-			for _, k := range nodes {
-				total += k
-			}
-			maxRate := cfg.MaxRate
-			ocfg.EDT = &EDTConfig{Rates: func(jobID string) float64 {
-				if total == 0 {
-					return 0
-				}
-				return float64(nodes[jobID]) / float64(total) * maxRate * (1 << 20)
-			}}
+		scfg.OSS.Obs = n.obs
+		if cfg.CoordAddr != "" {
+			// A Redialer, not a single client: the coordinator process may
+			// restart (or simply start second), and the agent's idempotent
+			// walks tolerate the replays reconnection implies.
+			n.acoord = &transport.Redialer{Network: "tcp", Addr: cfg.CoordAddr}
+			scfg.Coord = n.acoord
 		}
-		n.oss = NewOSS(ocfg)
-		if err := n.startOSSPolicy(ctlCtx); err != nil {
-			n.oss.Close()
-			stopCtls()
+		srv, err := StartServer(scfg)
+		if err != nil {
 			return nil, err
 		}
+		n.srv = srv
+	default:
+		return nil, fmt.Errorf("cluster: unknown node role %q (want oss or coord)", cfg.Role)
 	}
 
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
-		n.teardownRole()
-		stopCtls()
+		if n.srv != nil {
+			n.srv.Stop()
+		}
 		return nil, err
 	}
 	n.ln = ln
 	n.acceptWG.Add(1)
 	go n.acceptLoop()
 	return n, nil
-}
-
-// startOSSPolicy stands up the policy machinery beside the OSS.
-func (n *Node) startOSSPolicy(ctlCtx context.Context) error {
-	cfg := n.cfg
-	switch cfg.Policy {
-	case "nobw", "sfq", "edt":
-		// nobw is FCFS; sfq's and edt's gates were installed at NewOSS.
-	case "static":
-		jobs := make([]workload.Job, 0, len(cfg.Nodes))
-		for id, k := range cfg.Nodes {
-			jobs = append(jobs, workload.Job{ID: id, Nodes: k})
-		}
-		sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
-		eng := n.oss.Engine()
-		for _, r := range workload.StaticRules(jobs, cfg.MaxRate, 0) {
-			if err := eng.StartRule(r, n.oss.Now()); err != nil {
-				return fmt.Errorf("cluster: node static rule %s: %w", r.Name, err)
-			}
-		}
-	case "adaptbf":
-		nodes := cfg.Nodes
-		mapper := controller.NodeMapperFunc(func(jobID string) int {
-			if k := nodes[jobID]; k > 0 {
-				return k
-			}
-			return 1
-		})
-		ctl := n.oss.NewController(mapper, cfg.MaxRate, cfg.Period)
-		n.ctlWG.Add(1)
-		go func() {
-			defer n.ctlWG.Done()
-			ctl.Run(ctlCtx)
-		}()
-	case "gift":
-		if cfg.CoordAddr == "" {
-			return fmt.Errorf("cluster: gift policy needs a coordinator address")
-		}
-		// A Redialer, not a single client: the coordinator process may
-		// restart (or simply start second), and the agent's idempotent
-		// walks tolerate the replays reconnection implies.
-		n.acoord = &transport.Redialer{Network: "tcp", Addr: cfg.CoordAddr}
-		n.agent = n.oss.NewGIFTAgent(n.acoord, cfg.MaxRate, cfg.Period)
-		n.ctlWG.Add(1)
-		go func() {
-			defer n.ctlWG.Done()
-			n.agent.Run(ctlCtx)
-		}()
-	default:
-		return fmt.Errorf("cluster: unknown node policy %q", cfg.Policy)
-	}
-	return nil
 }
 
 // Addr reports the bound listen address.
@@ -408,8 +329,8 @@ func (n *Node) Handle(req transport.Request, reply func(transport.Reply)) {
 		n.coord.Handle(req, reply)
 	case req.Op >= 0xF0:
 		reply(transport.Reply{Err: fmt.Sprintf("node: no handler for control opcode %#x in role %s", req.Op, n.cfg.Role)})
-	case n.oss != nil:
-		n.oss.Handle(req, reply)
+	case n.srv != nil:
+		n.srv.oss.Handle(req, reply)
 	default:
 		reply(transport.Reply{Err: "node: coordinator serves control traffic only"})
 	}
@@ -418,21 +339,24 @@ func (n *Node) Handle(req transport.Request, reply func(transport.Reply)) {
 // liveStats snapshots what is observable while serving (no device
 // counters — those require a closed OSS and appear in Close's snapshot).
 func (n *Node) liveStats() NodeStats {
-	st := NodeStats{Role: n.cfg.Role, Policy: n.cfg.Policy, Addr: n.Addr()}
+	var st NodeStats
+	if n.coord != nil {
+		st = n.coord.Stats()
+	} else {
+		for _, k := range n.srv.oss.PendingJobs() {
+			st.PendingRPCs += k
+		}
+		st.RejectedRPCs, st.ShedRPCs, st.OfferedBytes, st.GoodputBytes = n.srv.oss.AdmissionStats()
+	}
 	n.mu.Lock()
 	st.Conns = len(n.conns)
 	n.mu.Unlock()
-	if n.oss != nil {
-		for _, k := range n.oss.PendingJobs() {
-			st.PendingRPCs += k
-		}
-		st.RejectedRPCs, st.ShedRPCs, st.OfferedBytes, st.GoodputBytes = n.oss.AdmissionStats()
-	}
-	if n.coord != nil {
-		st.Walks = n.coord.Walks()
-		st.BankEntries = n.coord.BankEntries()
-		st.CouponsOutstanding = n.coord.OutstandingCoupons()
-	}
+	return n.identify(st)
+}
+
+// identify stamps a snapshot with who and where this node is.
+func (n *Node) identify(st NodeStats) NodeStats {
+	st.Role, st.Policy, st.Addr = n.cfg.Role, n.cfg.Policy, n.Addr()
 	return st
 }
 
@@ -460,34 +384,10 @@ func (n *Node) syncObsTransport() {
 	}
 }
 
-// teardownRole stops the served OSS (reading its final device counters
-// into the drain snapshot) or coordinator.
-func (n *Node) teardownRole() {
-	n.final = NodeStats{Role: n.cfg.Role, Policy: n.cfg.Policy}
-	if n.ln != nil {
-		n.final.Addr = n.ln.Addr().String()
-	}
-	if n.oss != nil {
-		n.oss.Close()
-		served, busy := n.oss.DeviceStats()
-		n.final.ServedRPCs = served
-		n.final.BusySeconds = busy.Seconds()
-		n.final.RejectedRPCs, n.final.ShedRPCs, n.final.OfferedBytes, n.final.GoodputBytes = n.oss.AdmissionStats()
-	}
-	if n.coord != nil {
-		n.final.Walks = n.coord.Walks()
-		n.final.BankEntries = n.coord.BankEntries()
-		n.final.CouponsOutstanding = n.coord.OutstandingCoupons()
-	}
-	if n.acoord != nil {
-		n.acoord.Close()
-	}
-}
-
 // Close gracefully drains the node: stop accepting, give open
 // connections DrainTimeout to finish (then force-close them), stop the
-// policy machinery, close the OSS, and return the final stats snapshot —
-// including the device counters only a closed OSS can report.
+// Server, and return the final stats snapshot — including the device
+// counters only a closed OSS can report.
 func (n *Node) Close() NodeStats {
 	n.closeOnce.Do(func() {
 		n.mu.Lock()
@@ -512,9 +412,11 @@ func (n *Node) Close() NodeStats {
 			<-drained
 		}
 
-		n.stopCtls()
-		n.ctlWG.Wait()
-		n.teardownRole()
+		if n.coord != nil {
+			n.final = n.identify(n.coord.Stats())
+		} else {
+			n.final = n.identify(n.srv.Stop())
+		}
 	})
 	return n.final
 }

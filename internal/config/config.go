@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"adaptbf/internal/policy"
 	"adaptbf/internal/sim"
 	"adaptbf/internal/workload"
 )
@@ -43,25 +44,13 @@ type Scenario struct {
 	Jobs         []JobSpec `json:"jobs"`
 }
 
-// ParsePolicy maps a policy name to a simulator policy. The empty string
-// means AdapTBF.
+// ParsePolicy maps a policy name (any flag or alias in package policy's
+// table) to a simulator policy. The empty string means AdapTBF.
 func ParsePolicy(s string) (sim.Policy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "adaptbf":
+	if strings.TrimSpace(s) == "" {
 		return sim.AdapTBF, nil
-	case "nobw", "none", "fcfs":
-		return sim.NoBW, nil
-	case "static":
-		return sim.StaticBW, nil
-	case "sfq", "sfqd", "sfq(d)":
-		return sim.SFQ, nil
-	case "gift":
-		return sim.GIFT, nil
-	case "edt":
-		return sim.EDT, nil
-	default:
-		return 0, fmt.Errorf("config: unknown policy %q (want nobw, static, adaptbf, sfq, edt, or gift)", s)
 	}
+	return policy.Parse(s)
 }
 
 // Parse decodes a JSON scenario into a simulator configuration. Unknown

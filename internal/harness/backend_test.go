@@ -362,36 +362,6 @@ func TestClusterBackendLiveGIFTCoordination(t *testing.T) {
 	}
 }
 
-// TestClusterBackendDurationCap: an unbounded workload is bounded by the
-// matrix Duration in OSS time; the cell completes without error but with
-// Done=false, exactly like the simulator hitting its cap.
-func TestClusterBackendDurationCap(t *testing.T) {
-	m := Matrix{
-		Scenarios: []Scenario{{
-			Name: "unbounded",
-			Jobs: func(CellParams) []workload.Job {
-				return []workload.Job{{
-					ID: "inf.n01", Nodes: 1,
-					Procs: []workload.Pattern{{RPCBytes: 64 << 10}},
-				}}
-			},
-		}},
-		Policies: []sim.Policy{sim.NoBW},
-		Duration: 300 * time.Millisecond,
-	}
-	res, err := Run(context.Background(), m, WithBackend(&ClusterBackend{Device: liveDevice()}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr := res.Cells[0]
-	if cr.Result.Done {
-		t.Fatal("unbounded cell reported Done")
-	}
-	if cr.Result.ServedRPCs == 0 {
-		t.Fatal("capped cell served nothing")
-	}
-}
-
 // TestClusterBackendHonorsCancel: canceling the run context tears a
 // live cell down promptly and the run reports ctx.Err().
 func TestClusterBackendHonorsCancel(t *testing.T) {
@@ -420,27 +390,6 @@ func TestClusterBackendHonorsCancel(t *testing.T) {
 	}
 	if e := time.Since(start); e > 5*time.Second {
 		t.Fatalf("cancel took %v to unwind a live cell", e)
-	}
-}
-
-// TestRunOptionsShimEquivalence: the deprecated Options path and the new
-// functional options produce identical fingerprints.
-func TestRunOptionsShimEquivalence(t *testing.T) {
-	m := Matrix{
-		Scenarios: []Scenario{StripedSequentialScenario()},
-		Policies:  []sim.Policy{sim.AdapTBF},
-		Scales:    []int64{512},
-	}
-	oldAPI, err := RunOptions(m, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newAPI, err := Run(context.Background(), m, WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldAPI.Fingerprint() != newAPI.Fingerprint() {
-		t.Fatal("deprecated Options shim diverged from the functional-options path")
 	}
 }
 

@@ -2,52 +2,27 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"adaptbf/internal/cluster"
-	"adaptbf/internal/controller"
 	"adaptbf/internal/device"
-	"adaptbf/internal/metrics"
-	"adaptbf/internal/obs"
-	"adaptbf/internal/sim"
 	"adaptbf/internal/transport"
-	"adaptbf/internal/workload"
 )
 
-// ClusterBackend runs cells as live wall-clock deployments: per cell it
-// stands up Cell.OSSes in-process storage servers (cluster.OSS, each with
-// its own dispatcher goroutine, TBF scheduler, and — under AdapTBF — its
-// own independent controller), connects one cluster.JobRunner per job
-// over transport.Pipe, and executes the scenario's workload as real
-// concurrent RPC traffic. This is the paper's Figure 2 deployment driving
-// the same Matrix the simulator sweeps.
+// ClusterBackend runs cells as live wall-clock deployments inside this
+// process: per cell it starts Cell.OSSes storage servers (cluster.Server:
+// an OSS with its own dispatcher goroutine and whatever the cell's policy
+// runs beside it — see package policy's table), connects one
+// cluster.JobRunner per job over transport.Pipe, and executes the
+// scenario's workload as real concurrent RPC traffic (runLiveCell). This
+// is the paper's Figure 2 deployment driving the same Matrix the
+// simulator sweeps; a GIFT cell's one central coordinator is consulted
+// over a pipe too, so its serial walk costs real RPCs.
 //
-// Results are reported in OSS time — wall-clock scaled by Speedup — so an
-// accelerated run's makespans, latencies, and MiB/s stay commensurate
-// with the configured token rates and with simulator cells. Live cells
-// are inherently nondeterministic (scheduling, timers): they never
-// partake in golden fingerprints, and CellResult.Backend = "live" marks
-// them in every report.
-//
-// All six policies run live. NoBW is FCFS; StaticBW installs fixed
-// priority-proportional rules at start; AdapTBF runs one independent
-// controller per OSS; SFQ gates each OSS through a node-weighted
-// sfq.Scheduler (cluster.SFQConfig); GIFT stands up one central
-// coupon-bank coordinator (cluster.GIFTCoordinator) that every OSS's
-// agent consults over the transport each epoch — the serial central walk
-// as actual RPCs, its cost measured on the wire; EDT gates each OSS
-// through sharded Earliest-Departure-Time pacing (cluster.EDTConfig) at
-// the same node-proportional rates StaticBW encodes as token rules.
-// TBFShards additionally stripes the token-bucket gate itself
-// (cluster.ShardedTBF) for the TBF-family policies.
-//
-// A cell ends when every bounded job finishes, when the matrix Duration
-// elapses in OSS time (Done stays false, like the simulator hitting its
-// cap — this is also how unbounded workloads are bounded), or when ctx is
-// canceled (the cell fails with ctx.Err()).
+// Live cells are inherently nondeterministic (scheduling, timers): they
+// never partake in golden fingerprints, and CellResult.Backend = "live"
+// marks them in every report.
 type ClusterBackend struct {
 	// Device parameterizes each OSS's backing store. Zero means
 	// device.Default() — the same SSD-class target simulator cells use.
@@ -56,415 +31,72 @@ type ClusterBackend struct {
 	// (cluster.OSSConfig.Speedup): a Speedup of 50 runs a 30-minute
 	// workload in ~36 wall seconds. Default 1.
 	Speedup float64
-	// BucketDepth is the per-rule TBF bucket depth. Wall-clock runs need
-	// token deadlines well above Go timer jitter or depth-capped buckets
-	// discard tokens on every oversleep; the default of 16 (vs the
-	// simulator's Lustre-default 3) absorbs that jitter.
-	BucketDepth float64
 	// TBFShards, when > 1, stripes each OSS's token-bucket gate across
 	// that many locks keyed by flow hash (cluster.ShardedTBF) instead
-	// of the single-lock gate, for the TBF-family policies (NoBW,
-	// StaticBW, AdapTBF, GIFT). The gate-contention study sweeps this.
+	// of the single-lock gate, for the policies the table gates through
+	// TBF. The gate-contention study sweeps this.
 	TBFShards int
 }
-
-// liveDefaultBucketDepth absorbs wall-clock timer jitter (see
-// ClusterBackend.BucketDepth).
-const liveDefaultBucketDepth = 16
 
 // Name reports "live".
 func (b *ClusterBackend) Name() string { return "live" }
 
-// liveRecorder assembles simulator-shaped metrics from concurrent live
-// RPC completions. One per cell; the mutex serializes observers from
-// every runner goroutine.
-type liveRecorder struct {
-	mu        sync.Mutex
-	epoch     time.Time
-	speedup   float64
-	timeline  *metrics.Timeline
-	latencies *metrics.LatencyRecorder
-}
-
-// now reports OSS time since the cell epoch.
-func (r *liveRecorder) now() time.Duration {
-	return time.Duration(float64(time.Since(r.epoch)) * r.speedup)
-}
-
-// observer returns the JobRunner.Observe hook for one job.
-func (r *liveRecorder) observer(jobID string) func(bytes int64, latency time.Duration) {
-	idx := r.timeline.JobIndex(jobID)
-	lidx := r.latencies.JobIndex(jobID)
-	return func(bytes int64, latency time.Duration) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		r.timeline.RecordIdx(idx, int64(r.now()), bytes)
-		r.latencies.RecordIdx(lidx, time.Duration(float64(latency)*r.speedup))
-	}
-}
-
 // RunCell executes one live cell.
 func (b *ClusterBackend) RunCell(ctx context.Context, spec CellSpec) (CellOutcome, error) {
-	if err := ctx.Err(); err != nil {
-		return CellOutcome{}, err
-	}
-	switch spec.Cell.Policy {
-	case sim.NoBW, sim.StaticBW, sim.AdapTBF, sim.SFQ, sim.GIFT, sim.EDT:
-	default:
-		return CellOutcome{}, fmt.Errorf("harness: policy %v has no live-cluster implementation (supported: No BW, Static BW, AdapTBF, SFQ(D), GIFT, EDT)", spec.Cell.Policy)
-	}
 	if spec.Faults.CrashOSS {
 		return CellOutcome{}, fmt.Errorf("harness: the in-process live backend has no OSS process to crash; use -backend remote for crash/restart faults")
 	}
-	if spec.Scenario.Jobs == nil {
-		return CellOutcome{}, fmt.Errorf("harness: the live backend cannot run streaming scenario %s; use -backend sim", spec.Cell.Scenario)
-	}
-	if spec.RecordDir != "" {
-		return CellOutcome{}, fmt.Errorf("harness: trace recording needs the deterministic sim backend")
-	}
-	jobs := spec.Scenario.Jobs(spec.Cell.Params())
-	if len(jobs) == 0 {
-		return CellOutcome{}, fmt.Errorf("harness: scenario %s produced no jobs", spec.Cell.Scenario)
-	}
-	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return CellOutcome{}, err
-		}
-	}
-	speedup := b.Speedup
-	if speedup <= 0 {
-		speedup = 1
-	}
-	depth := b.BucketDepth
-	if depth <= 0 {
-		depth = liveDefaultBucketDepth
-	}
+	oss := cluster.OSSConfig{Device: b.Device, Speedup: b.Speedup, TBFShards: b.TBFShards}
+	return runLiveCell(ctx, spec, oss, &pipePlacement{spec: spec})
+}
 
-	scaleWorkloadTimes(jobs, speedup)
+// pipePlacement runs a cell's servers as goroutines of this process,
+// reached over in-memory pipes that pay the cell's network faults.
+type pipePlacement struct {
+	spec    CellSpec
+	coord   *cluster.GIFTCoordinator
+	servers []*cluster.Server
+	conns   int // fault-seed connection index; 0 is every coordinator pipe
+}
 
-	// One observability scope per cell, shared by every OSS (each gets
-	// its own trace thread via ObsTID). Timestamps are OSS time, so the
-	// trace lines up with the cell's reported latencies and makespan.
-	var cellObs *obs.CellObs
-	if spec.Obs {
-		epoch := time.Now()
-		cellObs = &obs.CellObs{
-			Tracer:  obs.NewTracer(func() int64 { return int64(float64(time.Since(epoch)) * speedup) }),
-			Metrics: obs.NewRegistry(),
-		}
-	}
+// pipe opens a faulted pipe to h under the next connection's seed.
+func (p *pipePlacement) pipe(h transport.Handler, conn int) transport.Caller {
+	return transport.PipeFault(h, p.spec.Faults.Net, faultSeed(p.spec.Cell.Seed, conn))
+}
 
-	nodesOf := make(map[string]int, len(jobs))
-	for _, j := range jobs {
-		nodesOf[j.ID] = j.Nodes
-	}
+func (p *pipePlacement) startCoord() error {
+	p.coord = cluster.NewGIFTCoordinator(p.spec.Period)
+	return nil
+}
 
-	// Stand the stack up: one OSS per target, all torn down before any
-	// device counter is read (DeviceStats requires a closed OSS). SFQ
-	// cells swap the TBF scheduler for a node-weighted SFQ(D) gate — the
-	// same weights the simulator's SFQ policy uses.
-	cfg := cluster.OSSConfig{
-		Device:      b.Device,
-		BucketDepth: depth,
-		Speedup:     speedup,
-		Admission:   spec.Admission,
-		TBFShards:   b.TBFShards,
-	}
-	switch spec.Cell.Policy {
-	case sim.SFQ:
-		cfg.SFQ = &cluster.SFQConfig{
-			Depth:   spec.SFQDepth,
-			Weights: func(jobID string) float64 { return float64(nodesOf[jobID]) },
-		}
-	case sim.EDT:
-		cfg.EDT = &cluster.EDTConfig{Rates: edtByteRates(nodesOf, spec.MaxTokenRate)}
-	}
-	osses := make([]*cluster.OSS, spec.Cell.OSSes)
-	for i := range osses {
-		ocfg := cfg
-		ocfg.Obs = cellObs
-		ocfg.ObsTID = i
-		if i == 0 && spec.Faults.StragglerFactor > 1 {
-			// The straggler mode: the first OSS's device runs k× slower —
-			// lower streaming rate, higher per-RPC costs — the slow-node
-			// scenario the borrowing policies are supposed to route around.
-			k := spec.Faults.StragglerFactor
-			d := ocfg.Device
-			if d == (device.Params{}) {
-				d = device.Default()
-			}
-			d.BytesPerSec = d.BytesPerSec / k
-			d.PerRPCOverhead = time.Duration(float64(d.PerRPCOverhead) * k)
-			d.ConcurrencyPenalty = time.Duration(float64(d.ConcurrencyPenalty) * k)
-			ocfg.Device = d
-		}
-		osses[i] = cluster.NewOSS(ocfg)
-	}
-	defer func() {
-		for _, o := range osses {
-			o.Close()
-		}
-	}()
-
-	// Policy machinery that outlives individual RPCs stops when the cell
-	// context ends (runner completion, duration cap, or cancel). The
-	// WaitGroup is what makes the stop a real quiesce: cancellation alone
-	// would let an in-flight controller tick or coordinator walk land
-	// after the stats fold (or after RunCell returned, against a closed
-	// OSS).
-	ctlCtx, stopCtls := context.WithCancel(context.Background())
-	var ctlWG sync.WaitGroup
-	quiesceCtls := func() {
-		stopCtls()
-		ctlWG.Wait()
-	}
-	defer quiesceCtls()
-	var giftCoord *cluster.GIFTCoordinator
-	var giftAgents []*cluster.GIFTAgent
-	switch spec.Cell.Policy {
-	case sim.StaticBW:
-		if err := installLiveStaticRules(osses, jobs, spec.MaxTokenRate); err != nil {
-			return CellOutcome{}, err
-		}
-	case sim.AdapTBF:
-		// One independent controller per storage server — the paper's
-		// decentralization property, live.
-		nodes := controller.NodeMapperFunc(func(jobID string) int {
-			if n := nodesOf[jobID]; n > 0 {
-				return n
-			}
-			return 1
-		})
-		for _, o := range osses {
-			ctl := o.NewController(nodes, spec.MaxTokenRate, spec.Period)
-			ctlWG.Add(1)
-			go func() {
-				defer ctlWG.Done()
-				ctl.Run(ctlCtx)
-			}()
-		}
-	case sim.GIFT:
-		// One central coupon-bank coordinator for the whole cell — GIFT's
-		// design point. Every OSS's agent consults it over the transport
-		// each epoch, so the serial central walk happens as real RPCs.
-		giftCoord = cluster.NewGIFTCoordinator(spec.Period)
+func (p *pipePlacement) startTarget(_ int, cfg cluster.ServerConfig) (liveTarget, error) {
+	if p.coord != nil {
 		// The coordinator pipe is part of the faulted network: GIFT's
 		// central walk pays the injected delays like any other RPC.
-		coordClient := transport.PipeFault(giftCoord, spec.Faults.Net, faultSeed(spec.Cell.Seed, 0))
-		defer coordClient.Close()
-		giftAgents = make([]*cluster.GIFTAgent, len(osses))
-		for i, o := range osses {
-			ag := o.NewGIFTAgent(coordClient, spec.MaxTokenRate, spec.Period)
-			giftAgents[i] = ag
-			ctlWG.Add(1)
-			go func() {
-				defer ctlWG.Done()
-				ag.Run(ctlCtx)
-			}()
-		}
+		cfg.Coord = p.pipe(p.coord, 0)
 	}
-
-	// The matrix Duration is OSS time; the wall-clock bound divides out
-	// the speedup. Hitting it mirrors the simulator's duration cap: the
-	// cell completes with Done=false rather than failing.
-	wallCap := time.Duration(float64(spec.Duration) / speedup)
-	runCtx, cancelRun := context.WithTimeout(ctx, wallCap)
-	defer cancelRun()
-
-	rec := &liveRecorder{
-		epoch:     time.Now(),
-		speedup:   speedup,
-		timeline:  metrics.NewTimeline(spec.Period),
-		latencies: &metrics.LatencyRecorder{},
-	}
-	outcomes := make([]liveJobOutcome, len(jobs))
-	var wg sync.WaitGroup
-	clients := make([]transport.Caller, 0, len(jobs)*len(osses))
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
-	// Intern every job's recorder indices before any runner starts:
-	// observer construction mutates the recorders' intern tables, which
-	// must not race with an earlier job's in-flight observations.
-	observers := make([]func(bytes int64, latency time.Duration), len(jobs))
-	for ji, job := range jobs {
-		observers[ji] = rec.observer(job.ID)
-	}
-	conn := 1 // fault-seed connection index; 0 is the GIFT coordinator pipe
-	for ji, job := range jobs {
-		targets := make([]transport.Caller, len(osses))
-		for i, o := range osses {
-			targets[i] = transport.PipeFault(o, spec.Faults.Net, faultSeed(spec.Cell.Seed, conn))
-			conn++
-		}
-		clients = append(clients, targets...)
-		runner := &cluster.JobRunner{Job: job, Targets: targets, Observe: observers[ji]}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stats, err := runner.Run(runCtx)
-			outcomes[ji] = liveJobOutcome{stats: stats, err: err, finishedAt: rec.now()}
-		}()
-	}
-	wg.Wait()
-	elapsed := rec.now()
-	cancelRun()
-	quiesceCtls() // stop AND await controllers/agents before reading their stats
-
-	// A cancel from above (the run's ctx or the per-cell timeout) fails
-	// the cell; our own duration cap does not.
-	if err := ctx.Err(); err != nil {
-		return CellOutcome{}, err
-	}
-
-	res, err := foldLiveResult(spec, jobs, outcomes, rec, elapsed)
+	srv, err := cluster.StartServer(cfg)
 	if err != nil {
-		return CellOutcome{}, err
+		return liveTarget{}, err
 	}
-
-	// Fold the live GIFT coordination cost into the result the same way
-	// the simulator does: TickTimes holds one entry per target walk per
-	// epoch (here the wall-clock coordinator round-trip, measured on the
-	// wire and deliberately unscaled by Speedup), CtrlMsgs/RuleOps the
-	// deterministic message and rule-op counters, and the bank fields the
-	// coordinator's end-of-run centralized state.
-	if giftCoord != nil {
-		for _, ag := range giftAgents {
-			st := ag.Stats()
-			res.TickTimes = append(res.TickTimes, st.WalkTimes...)
-			res.RuleOps += st.RuleOps
-			res.CtrlMsgs += st.CtrlMsgs
-		}
-		res.GIFTBankEntries = giftCoord.BankEntries()
-		res.GIFTCouponsOutstanding = giftCoord.OutstandingCoupons()
-	}
-
-	// Close the servers before reading device counters (the dispatcher
-	// goroutine owns them); the deferred Close calls then no-op.
-	for _, o := range osses {
-		o.Close()
-	}
-	for _, o := range osses {
-		_, busy := o.DeviceStats()
-		res.DeviceBusy = append(res.DeviceBusy, busy)
-	}
-	if cellObs != nil {
-		fillOutcomeCounters(cellObs.Metrics, res)
-	}
-	out := outcomeOf(res, spec.PerJobDigests)
-	attachObs(&out, cellObs)
-	return out, nil
+	p.servers = append(p.servers, srv)
+	return liveTarget{
+		dial: func() transport.Caller {
+			p.conns++
+			return p.pipe(srv.OSS(), p.conns)
+		},
+		stop: srv.Stop,
+	}, nil
 }
 
-// A liveJobOutcome is one job's end state on a wall-clock backend.
-type liveJobOutcome struct {
-	stats      cluster.JobStats
-	err        error
-	finishedAt time.Duration // OSS time; valid when err == nil
-}
+func (p *pipePlacement) stopCoord() cluster.NodeStats { return p.coord.Stats() }
 
-// scaleWorkloadTimes divides workload time parameters by the clock
-// acceleration. They are OSS time, but JobRunner sleeps them on the raw
-// wall clock: scaling makes an accelerated cell run the same OSS-time
-// workload the simulator runs (otherwise a calibration pairing would
-// partly measure the -speedup knob, not the substrate). Patterns are
-// copied in place — Scenario.Jobs may share slices.
-func scaleWorkloadTimes(jobs []workload.Job, speedup float64) {
-	if speedup == 1 {
-		return
-	}
-	scale := func(d time.Duration) time.Duration {
-		if d <= 0 {
-			return d
-		}
-		if s := time.Duration(float64(d) / speedup); s > 0 {
-			return s
-		}
-		return 1 // keep positive so Pattern validation semantics hold
-	}
-	for ji := range jobs {
-		procs := append([]workload.Pattern(nil), jobs[ji].Procs...)
-		for pi := range procs {
-			procs[pi].StartDelay = scale(procs[pi].StartDelay)
-			procs[pi].BurstInterval = scale(procs[pi].BurstInterval)
-		}
-		jobs[ji].Procs = procs
-	}
-}
+// budget: none. A pipe cannot fail in transit, and a stalled in-process
+// OSS is a bug to surface, not a fault to ride out.
+func (p *pipePlacement) budget() (time.Duration, int, time.Duration) { return 0, 0, 0 }
 
-// foldLiveResult turns per-job outcomes from a wall-clock backend into
-// the simulator-shaped result both live backends report. Shared between
-// ClusterBackend and RemoteBackend so cell semantics (Done, finish
-// times, cancellation vs failure) cannot drift between substrates.
-func foldLiveResult(spec CellSpec, jobs []workload.Job, outcomes []liveJobOutcome, rec *liveRecorder, elapsed time.Duration) (*sim.Result, error) {
-	res := &sim.Result{
-		Policy:      spec.Cell.Policy,
-		Timeline:    rec.timeline,
-		Latencies:   rec.latencies,
-		FinishTimes: make(map[string]time.Duration, len(jobs)),
-		Elapsed:     elapsed,
-		Done:        true,
+func (p *pipePlacement) release() {
+	for _, srv := range p.servers {
+		srv.Stop()
 	}
-	var firstErr error
-	for i, jo := range outcomes {
-		res.ServedRPCs += uint64(jo.stats.RPCs)
-		res.Rejected += uint64(jo.stats.Rejected)
-		res.Shed += uint64(jo.stats.Shed)
-		res.OfferedBytes += jo.stats.OfferedBytes
-		res.GoodputBytes += jo.stats.Bytes
-		switch {
-		case jo.err == nil:
-			if jobs[i].TotalBytes() > 0 {
-				res.FinishTimes[jobs[i].ID] = jo.finishedAt
-			} else {
-				res.Done = false // unbounded job: ran to the duration cap
-			}
-		case errors.Is(jo.err, context.DeadlineExceeded) || errors.Is(jo.err, context.Canceled):
-			res.Done = false // duration cap expired under this job
-		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("job %s: %w", jobs[i].ID, jo.err)
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return res, nil
-}
-
-// edtByteRates converts the matrix token rate into EDT's per-flow byte
-// rates: a job's node share of maxRate tokens/s, one token ≈ 1 MiB —
-// the same node-proportional split workload.StaticRules encodes as
-// token rules, expressed in the bytes/s EDT paces in.
-func edtByteRates(nodesOf map[string]int, maxRate float64) func(jobID string) float64 {
-	total := 0
-	for _, n := range nodesOf {
-		total += n
-	}
-	return func(jobID string) float64 {
-		if total == 0 {
-			return 0
-		}
-		return float64(nodesOf[jobID]) / float64(total) * maxRate * (1 << 20)
-	}
-}
-
-// installLiveStaticRules applies the Static BW baseline to live servers:
-// the same workload.StaticRules the simulator installs, started through
-// each OSS's thread-safe engine, so the baseline cannot drift between
-// the two backends.
-func installLiveStaticRules(osses []*cluster.OSS, jobs []workload.Job, maxRate float64) error {
-	rules := workload.StaticRules(jobs, maxRate, 0)
-	for _, o := range osses {
-		eng := o.Engine()
-		for _, r := range rules {
-			if err := eng.StartRule(r, o.Now()); err != nil {
-				return fmt.Errorf("harness: static rule %s: %w", r.Name, err)
-			}
-		}
-	}
-	return nil
 }

@@ -380,27 +380,6 @@ var ErrCellSkipped = errors.New("harness: cell skipped before dispatch")
 // select one, so scratch storage pooled across runs keeps being reused.
 var defaultBackend = NewSimBackend()
 
-// Options tunes an engine run.
-//
-// Deprecated: Options is the pre-context configuration struct. New code
-// should call Run(ctx, m, opts...) with functional options (WithWorkers,
-// WithProgress, ...); RunOptions adapts an existing Options value.
-type Options struct {
-	// Workers bounds the worker pool. ≤0 means runtime.NumCPU().
-	Workers int
-	// OnCell, when set, observes each finished cell. Calls are serialized
-	// but arrive in completion order, not cell order.
-	OnCell func(CellResult)
-}
-
-// RunOptions executes the matrix with the deprecated Options struct. It
-// is Run(context.Background(), m, WithWorkers(...), WithProgress(...)).
-//
-// Deprecated: use Run with functional options.
-func RunOptions(m Matrix, opt Options) (*MatrixResult, error) {
-	return Run(context.Background(), m, WithWorkers(opt.Workers), WithProgress(opt.OnCell))
-}
-
 // Run executes every cell of the matrix over a bounded worker pool on
 // the configured backend (the deterministic SimBackend unless
 // WithBackend says otherwise) and returns the merged result.

@@ -246,15 +246,13 @@ func TestOnCellObservesEveryCell(t *testing.T) {
 		Scales:    []int64{256},
 		OSSes:     []int{1, 2},
 	}
-	// The deprecated Options shim must keep working for one release:
-	// exercise it here rather than the functional options.
 	seen := map[int]bool{}
-	_, err := RunOptions(m, Options{Workers: 4, OnCell: func(cr CellResult) {
+	_, err := Run(context.Background(), m, WithWorkers(4), WithProgress(func(cr CellResult) {
 		if seen[cr.Cell.Index] {
 			t.Errorf("cell %d observed twice", cr.Cell.Index)
 		}
 		seen[cr.Cell.Index] = true
-	}})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

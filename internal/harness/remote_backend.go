@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,27 +17,25 @@ import (
 
 	"adaptbf/internal/cluster"
 	"adaptbf/internal/device"
-	"adaptbf/internal/metrics"
-	"adaptbf/internal/obs"
-	"adaptbf/internal/sim"
+	"adaptbf/internal/policy"
 	"adaptbf/internal/transport"
 )
 
 // RemoteBackend runs cells as separate OS processes over TCP: per cell
 // it spawns one adaptbf-node process per OSS (plus one coordinator
 // process for GIFT), waits for each to answer its health probe, and
-// drives the scenario's workload from in-harness job runners whose
-// targets are reconnecting clients — so an OSS process crash mid-run is
-// a transport error with a retry budget, not a wedged cell. This is the
-// paper's deployment claim made literal: the decentralization property
-// crosses a real process boundary and a real (if loopback) network.
+// drives the scenario's workload (runLiveCell) from in-harness job
+// runners whose targets are reconnecting clients — so an OSS process
+// crash mid-run is a transport error with a retry budget, not a wedged
+// cell. This is the paper's deployment claim made literal: the
+// decentralization property crosses a real process boundary and a real
+// (if loopback) network.
 //
 // The node binary is built once per backend (go build adaptbf/cmd/
 // adaptbf-node, resolved via the module root) unless NodeBin points at a
 // prebuilt one. Faults apply on the node side of every connection
-// (CellSpec.Faults.Net), and the crash/restart and straggler modes are
-// realized here — a SIGKILLed node process and a respawn on the same
-// address, a k×-slowed device on the first OSS.
+// (CellSpec.Faults.Net), and the crash/restart mode is realized here — a
+// SIGKILLed node process and a respawn on the same address.
 //
 // Like ClusterBackend, results are OSS time (wall-clock × Speedup),
 // inherently nondeterministic, and never fingerprinted. Device counters
@@ -52,13 +51,6 @@ type RemoteBackend struct {
 	Device device.Params
 	// Speedup accelerates modeled device and controller clocks. Default 1.
 	Speedup float64
-	// BucketDepth is the per-rule TBF bucket depth (default 16, as live).
-	BucketDepth float64
-	// RPCTimeout bounds each RPC attempt against a node (default 15s).
-	RPCTimeout time.Duration
-	// Retries is the per-RPC transport-failure retry budget (default 2;
-	// raised automatically to cover a crash/restart gap).
-	Retries int
 	// Logf, when set, receives readiness lines as nodes answer their
 	// health probe (role, policy, Go version, obs status) — the
 	// spawner's view of what it actually addressed. Calls may come from
@@ -73,28 +65,21 @@ type RemoteBackend struct {
 // Name reports "remote".
 func (b *RemoteBackend) Name() string { return "remote" }
 
-// remoteReadyTimeout bounds how long a spawned node gets to print its
-// ADDR line and answer its first health probe.
-const remoteReadyTimeout = 15 * time.Second
-
-// nodePolicyFlag maps a matrix policy to the daemon's -policy value.
-func nodePolicyFlag(p sim.Policy) (string, error) {
-	switch p {
-	case sim.NoBW:
-		return "nobw", nil
-	case sim.StaticBW:
-		return "static", nil
-	case sim.AdapTBF:
-		return "adaptbf", nil
-	case sim.SFQ:
-		return "sfq", nil
-	case sim.GIFT:
-		return "gift", nil
-	case sim.EDT:
-		return "edt", nil
-	}
-	return "", fmt.Errorf("harness: policy %v has no remote implementation", p)
-}
+const (
+	// remoteReadyTimeout bounds how long a spawned node gets to print its
+	// ADDR line and answer its first health probe.
+	remoteReadyTimeout = 15 * time.Second
+	// remoteNodeDrain is each node's own bound on waiting for open
+	// connections at shutdown (its -drain flag); remoteStopTimeout is how
+	// long the harness waits for an interrupted node to exit.
+	remoteNodeDrain   = 5 * time.Second
+	remoteStopTimeout = 8 * time.Second
+	// remoteRPCTimeout bounds each RPC attempt against a node, and
+	// remoteRetries is the per-RPC transport-failure retry budget (raised
+	// to cover a crash/restart gap).
+	remoteRPCTimeout = 15 * time.Second
+	remoteRetries    = 2
+)
 
 // bin resolves the node binary, building it once if needed.
 func (b *RemoteBackend) bin() (string, error) {
@@ -231,32 +216,23 @@ func waitHealthy(addr string) (cluster.NodeHealth, error) {
 	return cluster.NodeHealth{}, fmt.Errorf("harness: node %s never became healthy: %v", addr, lastErr)
 }
 
-// terminate SIGTERMs the node (triggering its graceful drain), waits for
-// its STATS snapshot, and reaps it — escalating to SIGKILL if the drain
-// exceeds its bound.
-func (p *nodeProc) terminate(drainBound time.Duration) (cluster.NodeStats, bool) {
+// terminate interrupts the node (triggering its graceful drain), reaps it
+// — killing it if the drain outlasts remoteStopTimeout — and returns the
+// STATS snapshot it printed on the way out: zero when it printed none (it
+// crashed, or was killed).
+func (p *nodeProc) terminate() cluster.NodeStats {
 	p.cmd.Process.Signal(os.Interrupt)
-	var st cluster.NodeStats
-	got := false
-	select {
-	case st = <-p.stats:
-		got = true
-	case <-p.exited:
-		// Exited without draining (crashed, or killed earlier) — but a
-		// STATS line scanned just before EOF still counts.
-		select {
-		case st = <-p.stats:
-			got = true
-		default:
-		}
-	case <-time.After(drainBound):
-	}
 	select {
 	case <-p.exited:
-	case <-time.After(2 * time.Second):
+	case <-time.After(remoteStopTimeout):
 		p.kill()
 	}
-	return st, got
+	select {
+	case st := <-p.stats: // scanned before the reader saw EOF and reaped
+		return st
+	default:
+		return cluster.NodeStats{}
+	}
 }
 
 func (p *nodeProc) kill() {
@@ -266,357 +242,134 @@ func (p *nodeProc) kill() {
 
 // RunCell executes one cell as separate node processes over TCP.
 func (b *RemoteBackend) RunCell(ctx context.Context, spec CellSpec) (CellOutcome, error) {
-	if err := ctx.Err(); err != nil {
-		return CellOutcome{}, err
-	}
-	policy, err := nodePolicyFlag(spec.Cell.Policy)
+	oss := cluster.OSSConfig{Device: b.Device, Speedup: b.Speedup}
+	return runLiveCell(ctx, spec, oss, &procPlacement{b: b, spec: spec, addrs: make(map[int]string)})
+}
+
+// procPlacement runs a cell's servers as adaptbf-node processes on
+// loopback TCP.
+type procPlacement struct {
+	b     *RemoteBackend
+	spec  CellSpec
+	coord *nodeProc
+
+	procs []*nodeProc    // every process ever spawned, for release
+	addrs map[int]string // target index → the address its clients dial
+}
+
+// spawn starts one node with the flags every role takes, and logs its
+// readiness. faultConn keeps each node's fault stream distinct.
+func (p *procPlacement) spawn(role, listen string, faultConn int, more ...string) (*nodeProc, error) {
+	bin, err := p.b.bin()
 	if err != nil {
-		return CellOutcome{}, err
+		return nil, err
 	}
-	if spec.Scenario.Jobs == nil {
-		return CellOutcome{}, fmt.Errorf("harness: the remote backend cannot run streaming scenario %s; use -backend sim", spec.Cell.Scenario)
+	args := []string{
+		"-role", role,
+		"-listen", listen,
+		"-period", p.spec.Period.String(),
+		"-drain", remoteNodeDrain.String(),
 	}
-	if spec.RecordDir != "" {
-		return CellOutcome{}, fmt.Errorf("harness: trace recording needs the deterministic sim backend")
+	if net := p.spec.Faults.Net; !net.IsZero() {
+		args = append(args,
+			"-faults", net.String(),
+			"-fault-seed", strconv.FormatUint(faultSeed(p.spec.Cell.Seed, faultConn), 10))
 	}
-	jobs := spec.Scenario.Jobs(spec.Cell.Params())
-	if len(jobs) == 0 {
-		return CellOutcome{}, fmt.Errorf("harness: scenario %s produced no jobs", spec.Cell.Scenario)
-	}
-	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return CellOutcome{}, err
-		}
-	}
-	bin, err := b.bin()
+	proc, err := spawnNode(bin, append(args, more...))
 	if err != nil {
-		return CellOutcome{}, err
+		return nil, err
 	}
-	speedup := b.Speedup
-	if speedup <= 0 {
-		speedup = 1
+	p.procs = append(p.procs, proc)
+	if h := proc.health; p.b.Logf != nil {
+		p.b.Logf("harness: node %s ready: role=%s policy=%s go=%s obs=%v uptime=%.2fs",
+			proc.addr, h.Role, h.Policy, h.GoVersion, h.Obs, h.UptimeS)
 	}
-	depth := b.BucketDepth
-	if depth <= 0 {
-		depth = liveDefaultBucketDepth
-	}
-	rpcTimeout := b.RPCTimeout
-	if rpcTimeout <= 0 {
-		rpcTimeout = 15 * time.Second
-	}
-	scaleWorkloadTimes(jobs, speedup)
+	return proc, nil
+}
 
-	nodesFlag := make([]string, 0, len(jobs))
-	for _, j := range jobs {
-		nodesFlag = append(nodesFlag, j.ID+"="+strconv.Itoa(j.Nodes))
-	}
-	wallCap := time.Duration(float64(spec.Duration) / speedup)
+func (p *procPlacement) startCoord() (err error) {
+	p.coord, err = p.spawn("coord", "127.0.0.1:0", 0)
+	return err
+}
 
-	// Spawn the cell's processes: the GIFT coordinator first (agents dial
-	// it at startup), then one OSS node per target.
-	commonArgs := func(role string, faultConn int) []string {
-		args := []string{
-			"-role", role,
-			"-listen", "127.0.0.1:0",
-			"-rate", strconv.FormatFloat(spec.MaxTokenRate, 'g', -1, 64),
-			"-period", spec.Period.String(),
-			"-drain", "5s",
-		}
-		if !spec.Faults.Net.IsZero() {
-			args = append(args,
-				"-faults", spec.Faults.Net.String(),
-				"-fault-seed", strconv.FormatUint(faultSeed(spec.Cell.Seed, faultConn), 10))
-		}
-		return args
+// startTarget spells cfg as adaptbf-node flags. A restarted target is
+// pinned to the address the crashed one held.
+func (p *procPlacement) startTarget(i int, cfg cluster.ServerConfig) (liveTarget, error) {
+	desc, _ := policy.Lookup(cfg.Policy) // runLiveCell vetted it
+	float := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	args := []string{
+		"-policy", desc.Flag,
+		"-rate", float(cfg.MaxRate),
+		"-depth", float(cfg.OSS.BucketDepth),
+		"-speedup", float(cfg.OSS.Speedup),
+		"-sfq-depth", strconv.Itoa(cfg.SFQDepth),
+		"-dev-bps", float(cfg.OSS.Device.BytesPerSec),
+		"-dev-overhead", cfg.OSS.Device.PerRPCOverhead.String(),
+		"-dev-penalty", cfg.OSS.Device.ConcurrencyPenalty.String(),
 	}
-	deviceArgs := func(straggler bool) []string {
-		d := b.Device
-		if d == (device.Params{}) {
-			d = device.Default()
-		}
-		if straggler {
-			k := spec.Faults.StragglerFactor
-			d.BytesPerSec /= k
-			d.PerRPCOverhead = time.Duration(float64(d.PerRPCOverhead) * k)
-			d.ConcurrencyPenalty = time.Duration(float64(d.ConcurrencyPenalty) * k)
-		}
-		return []string{
-			"-dev-bps", strconv.FormatFloat(d.BytesPerSec, 'g', -1, 64),
-			"-dev-overhead", d.PerRPCOverhead.String(),
-			"-dev-penalty", d.ConcurrencyPenalty.String(),
-		}
+	if cfg.OSS.Obs != nil {
+		args = append(args, "-obs")
 	}
-
-	var procs []*nodeProc // every process ever spawned, for teardown reaping
-	var coordProc *nodeProc
-	defer func() {
-		for _, p := range procs {
-			select {
-			case <-p.exited:
-			default:
-				p.kill()
-			}
-		}
-	}()
-
-	logReady := func(p *nodeProc) {
-		if b.Logf == nil {
-			return
-		}
-		h := p.health
-		b.Logf("harness: node %s ready: role=%s policy=%s go=%s obs=%v uptime=%.2fs",
-			p.addr, h.Role, h.Policy, h.GoVersion, h.Obs, h.UptimeS)
+	nodes := make([]string, 0, len(cfg.Nodes))
+	for id, k := range cfg.Nodes {
+		nodes = append(nodes, id+"="+strconv.Itoa(k))
 	}
-	if spec.Cell.Policy == sim.GIFT {
-		coordProc, err = spawnNode(bin, commonArgs("coord", 0))
-		if err != nil {
-			return CellOutcome{}, err
-		}
-		procs = append(procs, coordProc)
-		logReady(coordProc)
+	sort.Strings(nodes)
+	args = append(args, "-nodes", strings.Join(nodes, ","))
+	if !cfg.OSS.Admission.IsAlways() {
+		args = append(args, "-admission", cfg.OSS.Admission.String())
 	}
-	ossArgs := func(i int) []string {
-		args := append(commonArgs("oss", 1+i),
-			"-policy", policy,
-			"-depth", strconv.FormatFloat(depth, 'g', -1, 64),
-			"-speedup", strconv.FormatFloat(speedup, 'g', -1, 64),
-			"-sfq-depth", strconv.Itoa(spec.SFQDepth),
-		)
-		if spec.Obs {
-			args = append(args, "-obs")
-		}
-		if len(nodesFlag) > 0 {
-			args = append(args, "-nodes", strings.Join(nodesFlag, ","))
-		}
-		if !spec.Admission.IsAlways() {
-			args = append(args, "-admission", spec.Admission.String())
-		}
-		if coordProc != nil {
-			args = append(args, "-coord", coordProc.addr)
-		}
-		args = append(args, deviceArgs(i == 0 && spec.Faults.StragglerFactor > 1)...)
-		return args
+	if p.coord != nil {
+		args = append(args, "-coord", p.coord.addr)
 	}
-	ossProcs := make([]*nodeProc, spec.Cell.OSSes)
-	for i := range ossProcs {
-		p, err := spawnNode(bin, ossArgs(i))
-		if err != nil {
-			return CellOutcome{}, err
-		}
-		ossProcs[i] = p
-		procs = append(procs, p)
-		logReady(p)
+	listen := "127.0.0.1:0"
+	if held, ok := p.addrs[i]; ok {
+		listen = held
 	}
-
-	// The cell clock starts here: the recorder and any harness-side
-	// trace instants (crash, restart) share one epoch, so fault marks
-	// line up with the reported timelines. Node-side spans ride each
-	// node's own OSS clock and are folded in at teardown.
-	rec := &liveRecorder{
-		epoch:     time.Now(),
-		speedup:   speedup,
-		timeline:  metrics.NewTimeline(spec.Period),
-		latencies: &metrics.LatencyRecorder{},
-	}
-	var cellObs *obs.CellObs
-	if spec.Obs {
-		cellObs = &obs.CellObs{
-			Tracer:  obs.NewTracer(func() int64 { return int64(rec.now()) }),
-			Metrics: obs.NewRegistry(),
-		}
-	}
-
-	// The crash/restart fault: SIGKILL the first OSS node mid-run (no
-	// drain, no STATS — a crash), optionally respawning it on the same
-	// address so reconnecting clients recover.
-	crashCtx, stopCrash := context.WithCancel(context.Background())
-	var crashWG sync.WaitGroup
-	defer func() {
-		stopCrash()
-		crashWG.Wait()
-	}()
-	var restartMu sync.Mutex // guards ossProcs[0] and procs during the respawn
-	if spec.Faults.CrashOSS {
-		crashAfter := spec.Faults.CrashAfter
-		if crashAfter <= 0 {
-			crashAfter = wallCap / 4
-		}
-		crashWG.Add(1)
-		go func() {
-			defer crashWG.Done()
-			select {
-			case <-crashCtx.Done():
-				return
-			case <-time.After(crashAfter):
-			}
-			victim := ossProcs[0]
-			victim.kill()
-			if cellObs != nil {
-				cellObs.Tracer.Instant("oss.crash", "fault", 0, cellObs.Tracer.Now(),
-					map[string]any{"addr": victim.addr})
-			}
-			if spec.Faults.RestartAfter <= 0 {
-				return
-			}
-			select {
-			case <-crashCtx.Done():
-				return
-			case <-time.After(spec.Faults.RestartAfter):
-			}
-			args := ossArgs(0)
-			for i := range args { // pin the respawn to the crashed node's address
-				if args[i] == "-listen" {
-					args[i+1] = victim.addr
-				}
-			}
-			p, err := spawnNode(bin, args)
-			if err != nil {
-				return // clients keep failing against the dead addr; the cell reports it
-			}
-			restartMu.Lock()
-			ossProcs[0] = p
-			procs = append(procs, p)
-			restartMu.Unlock()
-			if cellObs != nil {
-				cellObs.Tracer.Instant("oss.restart", "fault", 0, cellObs.Tracer.Now(),
-					map[string]any{"addr": p.addr})
-			}
-		}()
-	}
-
-	// Per-RPC retry budget. A crash/restart cell needs the backoff window
-	// to span the dead gap, or every in-flight job fails before the
-	// respawn comes up.
-	retries := b.Retries
-	if retries <= 0 {
-		retries = 2
-	}
-	retryBackoff := 25 * time.Millisecond
-	if spec.Faults.CrashOSS && spec.Faults.RestartAfter > 0 {
-		need := spec.Faults.RestartAfter + 2*time.Second
-		retryBackoff = 250 * time.Millisecond
-		for window := retryBackoff * ((1 << retries) - 1); window < need && retries < 10; retries++ {
-			window = retryBackoff * ((1 << (retries + 1)) - 1)
-		}
-	}
-
-	runCtx, cancelRun := context.WithTimeout(ctx, wallCap)
-	defer cancelRun()
-	observers := make([]func(bytes int64, latency time.Duration), len(jobs))
-	for ji, job := range jobs {
-		observers[ji] = rec.observer(job.ID)
-	}
-	outcomes := make([]liveJobOutcome, len(jobs))
-	var clients []transport.Caller
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
-	var wg sync.WaitGroup
-	for ji, job := range jobs {
-		targets := make([]transport.Caller, len(ossProcs))
-		for i, p := range ossProcs {
-			// Redialers reconnect across node restarts; the per-call retry
-			// budget lives in the runner, so internal attempts stay at 1.
-			targets[i] = &transport.Redialer{Network: "tcp", Addr: p.addr, Attempts: 1}
-		}
-		clients = append(clients, targets...)
-		runner := &cluster.JobRunner{
-			Job:          job,
-			Targets:      targets,
-			RPCTimeout:   rpcTimeout,
-			Retries:      retries,
-			RetryBackoff: retryBackoff,
-			Observe:      observers[ji],
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stats, err := runner.Run(runCtx)
-			outcomes[ji] = liveJobOutcome{stats: stats, err: err, finishedAt: rec.now()}
-		}()
-	}
-	wg.Wait()
-	elapsed := rec.now()
-	cancelRun()
-	stopCrash()
-	crashWG.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return CellOutcome{}, err
-	}
-	res, err := foldLiveResult(spec, jobs, outcomes, rec, elapsed)
+	proc, err := p.spawn("oss", listen, 1+i, args...)
 	if err != nil {
-		return CellOutcome{}, err
+		return liveTarget{}, err
 	}
+	p.addrs[i] = proc.addr
+	return liveTarget{
+		// Redialers reconnect across node restarts; the per-call retry
+		// budget lives in the runner, so internal attempts stay at 1.
+		dial: func() transport.Caller {
+			return &transport.Redialer{Network: "tcp", Addr: proc.addr, Attempts: 1}
+		},
+		stop:     proc.terminate,
+		crash:    proc.kill,
+		drainObs: func() (cluster.ObsDrain, bool) { return drainNodeObs(proc.addr, i) },
+	}, nil
+}
 
-	// Harness-side transport resilience: the runners' redialers and
-	// retry loops live on this side of the wire, so their counters fold
-	// here. Node-side counters (a GIFT agent's coordinator client)
-	// arrive in the obs drain below.
-	if cellObs != nil {
-		var redials, retried int64
-		for _, c := range clients {
-			if rd, ok := c.(*transport.Redialer); ok {
-				st := rd.Stats()
-				if st.Dials > 1 {
-					redials += st.Dials - 1
-				}
-				retried += st.Retries
-			}
-		}
-		for _, jo := range outcomes {
-			retried += jo.stats.Retries
-		}
-		cellObs.Metrics.Counter(obs.MetricRedials).Add(redials)
-		cellObs.Metrics.Counter(obs.MetricRetries).Add(retried)
-	}
+// stopCoord drains the coordinator process: the bank's final centralized
+// state comes from its STATS line.
+func (p *procPlacement) stopCoord() cluster.NodeStats { return p.coord.terminate() }
 
-	// Teardown: drain every node and fold its final snapshot. Device
-	// counters exist only in these STATS lines; a crashed node never
-	// prints one and contributes zeros. The obs drain must come first —
-	// spans and metrics live in the node process, and terminate ends it.
-	restartMu.Lock()
-	finalOSS := append([]*nodeProc(nil), ossProcs...)
-	restartMu.Unlock()
-	var nodeSnap obs.Snapshot
-	if cellObs != nil {
-		for i, p := range finalOSS {
-			if d, ok := drainNodeObs(p.addr, i); ok {
-				cellObs.Tracer.Append(d.Events)
-				nodeSnap.Merge(d.Snapshot)
-			}
+// budget: a bounded attempt and a few retries. A crash/restart cell
+// needs the backoff window to span the dead gap, or every in-flight job
+// fails before the respawn comes up.
+func (p *procPlacement) budget() (time.Duration, int, time.Duration) {
+	retries, backoff := remoteRetries, 25*time.Millisecond
+	if f := p.spec.Faults; f.CrashOSS && f.RestartAfter > 0 {
+		need := f.RestartAfter + 2*time.Second
+		backoff = 250 * time.Millisecond
+		for window := backoff * ((1 << retries) - 1); window < need && retries < 10; retries++ {
+			window = backoff * ((1 << (retries + 1)) - 1)
 		}
 	}
-	for _, p := range finalOSS {
-		st, ok := p.terminate(8 * time.Second)
-		if !ok {
-			res.DeviceBusy = append(res.DeviceBusy, 0)
-			continue
-		}
-		res.DeviceBusy = append(res.DeviceBusy, time.Duration(st.BusySeconds*float64(time.Second)))
-	}
-	if coordProc != nil {
-		if st, ok := coordProc.terminate(8 * time.Second); ok {
-			// The coordination cost observable from outside the node
-			// processes: the centralized walk count (two control messages
-			// per walk, as the simulator counts them) and the bank's final
-			// centralized state.
-			res.CtrlMsgs += 2 * st.Walks
-			res.GIFTBankEntries = st.BankEntries
-			res.GIFTCouponsOutstanding = st.CouponsOutstanding
+	return remoteRPCTimeout, retries, backoff
+}
+
+func (p *procPlacement) release() {
+	for _, proc := range p.procs {
+		select {
+		case <-proc.exited:
+		default:
+			proc.kill()
 		}
 	}
-	if cellObs != nil {
-		fillOutcomeCounters(cellObs.Metrics, res)
-	}
-	out := outcomeOf(res, spec.PerJobDigests)
-	attachObs(&out, cellObs)
-	if out.Obs != nil {
-		out.Obs.Merge(nodeSnap)
-	}
-	return out, nil
 }
 
 // drainNodeObs pulls one node's accumulated spans and cumulative metrics

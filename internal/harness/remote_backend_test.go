@@ -63,48 +63,6 @@ func TestRemoteBackendSmoke(t *testing.T) {
 	}
 }
 
-// TestRemoteBackendGIFT: the GIFT coordinator spans the process boundary
-// unchanged — one coordinator process, agents in each OSS process
-// dialing it over TCP.
-func TestRemoteBackendGIFT(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns node processes")
-	}
-	m := Matrix{
-		Scenarios: []Scenario{{
-			Name: "gift-remote",
-			Jobs: func(CellParams) []workload.Job {
-				// Unbounded load for a fixed window, so walks accumulate.
-				pat := workload.Pattern{RPCBytes: 64 << 10, MaxInflight: 2}
-				return []workload.Job{
-					{ID: "a.n01", Nodes: 1, Procs: []workload.Pattern{pat}},
-					{ID: "b.n04", Nodes: 4, Procs: []workload.Pattern{pat}},
-				}
-			},
-		}},
-		Policies:     []sim.Policy{sim.GIFT},
-		OSSes:        []int{2},
-		MaxTokenRate: 4000,
-		Period:       50 * time.Millisecond,
-		Duration:     1500 * time.Millisecond,
-	}
-	res, err := Run(context.Background(), m,
-		WithBackend(&RemoteBackend{Device: liveDevice()}), WithCellTimeout(2*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := res.Cells[0].Result
-	if r.ServedRPCs == 0 {
-		t.Fatal("GIFT cell served nothing")
-	}
-	if r.Done {
-		t.Fatal("unbounded GIFT cell claims Done")
-	}
-	if r.CtrlMsgs == 0 {
-		t.Fatal("no coordinator walks crossed the process boundary")
-	}
-}
-
 // TestRemoteBackendCrashRestart: the first OSS process is SIGKILLed
 // mid-run and respawned on the same address. Reconnecting clients plus
 // the retry budget must carry every job across the dead window — the

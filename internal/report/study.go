@@ -132,7 +132,7 @@ type ScaleStudyOptions struct {
 	// IncludeBuckets forwards to Options.IncludeBuckets for the JSON
 	// document.
 	IncludeBuckets bool
-	// OnCell forwards to harness.Options.OnCell for progress reporting.
+	// OnCell forwards to harness.WithProgress for progress reporting.
 	OnCell func(harness.CellResult)
 }
 

@@ -49,6 +49,7 @@ import (
 	"adaptbf/internal/jobstats"
 	"adaptbf/internal/metrics"
 	"adaptbf/internal/obs"
+	"adaptbf/internal/policy"
 	"adaptbf/internal/rules"
 	"adaptbf/internal/sfq"
 	"adaptbf/internal/stats"
@@ -57,42 +58,21 @@ import (
 	"adaptbf/internal/workload"
 )
 
-// A Policy selects the bandwidth-control mechanism under test.
-type Policy int
+// A Policy selects the bandwidth-control mechanism under test. The type,
+// its constants and everything known about each one (paper name, flags,
+// gate, control loop) live in package policy's table; they are re-named
+// here because a Policy is first of all a simulator Config field.
+type Policy = policy.Policy
 
-// The paper's three evaluation mechanisms, plus the related-work
-// fair-queueing baseline, the GIFT centralized allocator, and EDT
-// (Earliest Departure Time) pacing — the per-request departure-stamp
-// model production traffic shaping adopted when single-lock token
-// buckets became the scaling wall.
+// The six policies (see package policy).
 const (
-	NoBW Policy = iota
-	StaticBW
-	AdapTBF
-	SFQ
-	GIFT
-	EDT
+	NoBW     = policy.NoBW
+	StaticBW = policy.StaticBW
+	AdapTBF  = policy.AdapTBF
+	SFQ      = policy.SFQ
+	GIFT     = policy.GIFT
+	EDT      = policy.EDT
 )
-
-// String names the policy as the paper does.
-func (p Policy) String() string {
-	switch p {
-	case NoBW:
-		return "No BW"
-	case StaticBW:
-		return "Static BW"
-	case AdapTBF:
-		return "AdapTBF"
-	case SFQ:
-		return "SFQ(D)"
-	case GIFT:
-		return "GIFT"
-	case EDT:
-		return "EDT"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
 
 // Config describes one simulation scenario.
 type Config struct {
@@ -399,8 +379,8 @@ type simulation struct {
 	osts    []*ostState
 	res     *Result
 
-	jobIDs     []string       // interned job table: index ↔ cfg.Jobs order
-	nodesByJob map[string]int // string lookups at the controller boundary
+	jobIDs     []string          // interned job table: index ↔ cfg.Jobs order
+	shares     policy.NodeShares // SFQ weights, EDT rates, controller priorities
 	procs      []*procState
 	procsByJob [][]*procState // by job index
 
@@ -449,23 +429,12 @@ type simulation struct {
 	depthG  *obs.Gauge   // GaugeQueueDepth (sampled at epochs)
 }
 
-// A requestGate is the scheduler standing between arriving requests and
-// the device. *tbf.Scheduler (NoBW/Static/AdapTBF) and *sfq.Scheduler
-// both implement it.
-type requestGate interface {
-	Enqueue(req *tbf.Request, now int64)
-	Dequeue(now int64) (req *tbf.Request, wake int64, ok bool)
-	Pending() int
-	PendingForJob(jobID string) int
-	PendingJobsInto(dst map[string]int)
-}
-
 // ostState is one storage target: request gate + device + stats +
 // (optionally) an AdapTBF controller.
 type ostState struct {
 	sim      *simulation
 	idx      int
-	gate     requestGate
+	gate     policy.Gate    // the scheduler between arriving requests and the device
 	sched    *tbf.Scheduler // non-nil except under the SFQ policy
 	sfqSched *sfq.Scheduler // non-nil only under the SFQ policy
 	onServed func()         // SFQ dispatch-slot release; nil elsewhere
@@ -552,10 +521,9 @@ type procState struct {
 
 func newSimulation(c Config, scratch *Scratch) *simulation {
 	s := &simulation{
-		cfg:        c,
-		loop:       &scratch.loop,
-		scratch:    scratch,
-		nodesByJob: make(map[string]int, len(c.Jobs)),
+		cfg:     c,
+		loop:    &scratch.loop,
+		scratch: scratch,
 		res: &Result{
 			Policy:      c.Policy,
 			Timeline:    metrics.NewTimeline(c.BinWidth),
@@ -582,6 +550,7 @@ func newSimulation(c Config, scratch *Scratch) *simulation {
 	// under a stream Source, tenant i's slot in the stream's tenant
 	// table — and the Timeline and LatencyRecorder intern the same names
 	// in the same order so every component shares one index space.
+	nodesByJob := make(map[string]int, len(c.Jobs))
 	s.src = c.Source
 	if s.src != nil {
 		tenants := s.src.Tenants()
@@ -589,7 +558,7 @@ func newSimulation(c Config, scratch *Scratch) *simulation {
 		s.staticJobs = make([]workload.Job, len(tenants))
 		for i, t := range tenants {
 			s.jobIDs[i] = t.ID
-			s.nodesByJob[t.ID] = t.Nodes
+			nodesByJob[t.ID] = t.Nodes
 			s.res.Timeline.JobIndex(t.ID)
 			s.res.Latencies.JobIndex(t.ID)
 			s.staticJobs[i] = workload.Job{ID: t.ID, Nodes: t.Nodes}
@@ -598,19 +567,15 @@ func newSimulation(c Config, scratch *Scratch) *simulation {
 		s.jobIDs = make([]string, len(c.Jobs))
 		for i, job := range c.Jobs {
 			s.jobIDs[i] = job.ID
-			s.nodesByJob[job.ID] = job.Nodes
+			nodesByJob[job.ID] = job.Nodes
 			s.res.Timeline.JobIndex(job.ID)
 			s.res.Latencies.JobIndex(job.ID)
 		}
 		s.staticJobs = c.Jobs
 	}
 	s.procsByJob = make([][]*procState, len(s.jobIDs))
-	// Total node count across jobs — the denominator of EDT's fixed
-	// per-flow rate shares (mirrors workload.StaticRules' split).
-	totalNodes := 0
-	for _, n := range s.nodesByJob {
-		totalNodes += n
-	}
+	s.shares = policy.NewNodeShares(nodesByJob)
+	desc, _ := policy.Lookup(c.Policy) // an unknown policy runs as the zero row: plain FCFS
 	// OST and process states live in two slabs: one allocation each for
 	// the whole stack instead of one per object.
 	ostSlab := make([]ostState, c.OSTs)
@@ -623,28 +588,18 @@ func newSimulation(c Config, scratch *Scratch) *simulation {
 		o.backlogBuf = make(map[string]int)
 		o.adm = c.Admission.New()
 		o.tracker.SetJobs(s.jobIDs)
-		if c.Policy == SFQ {
-			q := sfq.New(c.SFQDepth, func(jobID string) float64 {
-				return float64(s.nodesByJob[jobID])
-			})
+		switch desc.Gate {
+		case policy.SFQGate:
+			q := sfq.New(c.SFQDepth, s.shares.Weight)
 			q.SetJobs(s.jobIDs)
 			o.gate = q
 			o.sfqSched = q
 			o.onServed = q.Complete
-		} else if c.Policy == EDT {
-			// EDT paces in bytes; a token is one RPC ≈ 1 MiB (the
-			// MaxTokenRate convention), so a job's fixed per-OST byte
-			// rate is its node share of T_i converted to bytes/s —
-			// the same split Static BW's rules encode as token rates.
-			q := edt.New(edt.Config{Rates: func(jobID string) float64 {
-				if totalNodes == 0 {
-					return 0
-				}
-				return float64(s.nodesByJob[jobID]) / float64(totalNodes) * c.MaxTokenRate * (1 << 20)
-			}})
+		case policy.EDTGate:
+			q := edt.New(edt.Config{Rates: s.shares.ByteRates(c.MaxTokenRate)})
 			q.SetJobs(s.jobIDs)
 			o.gate = q
-		} else {
+		default:
 			o.sched = tbf.NewScheduler(tbf.Config{BucketDepth: c.BucketDepth})
 			o.sched.SetJobCount(len(s.jobIDs))
 			o.gate = o.sched
@@ -764,12 +719,13 @@ func (s *simulation) bindCallbacks() {
 
 // start installs policy machinery and schedules process starts.
 func (s *simulation) start() {
-	switch s.cfg.Policy {
-	case StaticBW:
+	desc, _ := policy.Lookup(s.cfg.Policy)
+	switch desc.Control {
+	case policy.StaticRules:
 		s.installStaticRules()
-	case AdapTBF:
+	case policy.PerOSSController:
 		s.installControllers()
-	case GIFT:
+	case policy.CentralCoordinator:
 		s.installGIFT()
 	}
 	if s.src != nil {
@@ -913,7 +869,7 @@ func (s *simulation) installControllers() {
 		alloc := core.New(core.Config{MaxRate: s.cfg.MaxTokenRate, Period: s.cfg.Period}, s.cfg.AllocOpts...)
 		o.ctrl = controller.New(controller.Config{
 			Stats:   &o.tracker,
-			Nodes:   controller.NodeMapperFunc(func(jobID string) int { return max(1, s.nodesByJob[jobID]) }),
+			Nodes:   s.shares,
 			Alloc:   alloc,
 			Daemon:  rules.New(o.sched, rules.Config{}),
 			Backlog: o.backlog,
@@ -1386,11 +1342,4 @@ func (o *ostState) complete(tok *rpcToken) {
 	s.loop.AfterCall(s.cfg.NetDelay, s.replyFn, tok.proc, 0)
 	s.putToken(tok)
 	o.kick()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
