@@ -368,7 +368,7 @@ func RunSaturationStudy(opt SaturationStudyOptions) (*SaturationStudyResult, err
 func TQuantile(p float64, df int) float64 { return stats.TQuantile(p, df) }
 
 // Live-cluster mode: real goroutine storage servers and job runners over
-// the gob RPC transport, one decentralized AdapTBF controller per target.
+// the framed RPC transport, one decentralized AdapTBF controller per target.
 type (
 	// OSS is a live object storage server.
 	OSS = cluster.OSS

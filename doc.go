@@ -104,8 +104,12 @@
 // and Fingerprint are identical whatever the worker count. Passing
 // WithMatrixBackend(&ClusterBackend{...}) instead runs every cell as a
 // live wall-clock deployment — real in-process storage servers
-// (cluster.OSS goroutines) and job runners issuing RPCs over the gob
-// transport — with each cell's CellResult.Backend (and the JSON
+// (cluster.OSS goroutines) and job runners issuing RPCs over the
+// transport's binary frames (a magic+version preamble per direction,
+// then length-prefixed fixed-layout requests and replies; a frame sent
+// while nothing else is outstanding on its connection is written by its
+// sender, any other is queued for a flusher that yields once, so busy
+// senders share one write) — with each cell's CellResult.Backend (and the JSON
 // document's per-cell backend field) set to "live". Live cells honor
 // the matrix Duration as an OSS-time cap and report OSS-time metrics
 // (wall-clock × ClusterBackend.Speedup); being measured rather than
@@ -197,7 +201,9 @@
 // paper's deployment claim literal: the decentralization property holds
 // across real process isolation and a real (if local) network. Each
 // node prints a machine-parseable ADDR line at startup, answers a
-// health opcode, and on SIGTERM drains gracefully — stops accepting,
+// health opcode (a node built for another wire version fails that probe
+// three times running and is refused then, with both versions named —
+// transport.ErrHandshake — rather than mid-cell), and on SIGTERM drains gracefully — stops accepting,
 // bounds open connections, stops its policy machinery — then emits a
 // final STATS JSON line from which the backend folds device-busy
 // counters and GIFT bank state into the cell result. Job runners drive
@@ -209,7 +215,9 @@
 // connection index. The network layer (transport.Fault, parsed from
 // "latency=2ms,jitter=1ms,loss=0.1,bw=64MiB") delays, jitters, and
 // rate-limits writes on the node side of every connection, with loss
-// modeled as bounded RTO-style retransmit penalties. The process layer
+// modeled as bounded RTO-style retransmit penalties; a faulted
+// connection is handed one frame per write, so replies that share a
+// flush still each pay the profile. The process layer
 // (harness.FaultProfile, CLI -faults) adds crash[=when] — SIGKILL the
 // first OSS node mid-run — restart=after (respawn it on the same
 // address, which reconnecting clients ride out), and straggler=k (the

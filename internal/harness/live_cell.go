@@ -61,7 +61,9 @@ type liveTarget struct {
 
 // liveRecorder assembles simulator-shaped metrics from concurrent live
 // RPC completions. One per cell; the mutex serializes observers from
-// every runner goroutine.
+// every runner goroutine. Both halves fold as samples arrive — bytes
+// into timeline bins, latencies into per-job digests — so a cell's
+// memory and teardown do not grow with the RPCs it served.
 type liveRecorder struct {
 	mu        sync.Mutex
 	epoch     time.Time
@@ -199,7 +201,7 @@ func runLiveCell(ctx context.Context, spec CellSpec, oss cluster.OSSConfig, pl p
 		epoch:     time.Now(),
 		speedup:   speedup,
 		timeline:  metrics.NewTimeline(spec.Period),
-		latencies: &metrics.LatencyRecorder{},
+		latencies: metrics.NewFoldingLatencyRecorder(),
 	}
 
 	runCtx, cancelRun := context.WithTimeout(ctx, wallCap)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -193,12 +194,18 @@ func spawnNode(bin string, args []string) (*nodeProc, error) {
 
 // waitHealthy probes the node's health opcode until it answers, and
 // returns the parsed NodeHealth — the node's own account of its role,
-// policy, build, and obs status.
+// policy, build, and obs status. A node that does not speak this
+// process's wire version never will answer: handshakeStrikes probes in a
+// row refused that way end the wait, with both versions in the error,
+// not remoteReadyTimeout. (One is not proof: a node of this build that
+// dies under the probe's first frame hangs up just as wordlessly.)
 func waitHealthy(addr string) (cluster.NodeHealth, error) {
+	const handshakeStrikes = 3
 	deadline := time.Now().Add(remoteReadyTimeout)
 	r := &transport.Redialer{Network: "tcp", Addr: addr, Attempts: 1}
 	defer r.Close()
 	var lastErr error
+	strikes := 0
 	for time.Now().Before(deadline) {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		rep, err := r.CallCtx(ctx, transport.Request{Op: cluster.OpNodeHealth})
@@ -209,6 +216,11 @@ func waitHealthy(addr string) (cluster.NodeHealth, error) {
 				return h, fmt.Errorf("harness: node %s answered health with an unparseable payload: %v", addr, perr)
 			}
 			return h, nil
+		}
+		if !errors.Is(err, transport.ErrHandshake) {
+			strikes = 0
+		} else if strikes++; strikes == handshakeStrikes {
+			return cluster.NodeHealth{}, fmt.Errorf("harness: node %s is not a peer of this build (is RemoteBackend.NodeBin stale?): %w", addr, err)
 		}
 		lastErr = err
 		time.Sleep(50 * time.Millisecond)

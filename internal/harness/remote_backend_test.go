@@ -2,11 +2,14 @@ package harness
 
 import (
 	"context"
+	"errors"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"adaptbf/internal/sim"
+	"adaptbf/internal/transport"
 	"adaptbf/internal/workload"
 )
 
@@ -154,4 +157,70 @@ func mustFaults(t *testing.T, s string) []FaultProfile {
 		t.Fatal(err)
 	}
 	return []FaultProfile{f}
+}
+
+// TestWaitHealthyOutlivesOneHangUp: one wordless hang-up is not a wire
+// mismatch — a node of this build that died under the probe does the
+// same, and its successor on the address answers. waitHealthy keeps
+// probing and returns the health it is given.
+func TestWaitHealthyOutlivesOneHangUp(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		conn.Read(make([]byte, 4096))
+		conn.Close()
+		transport.Serve(l, transport.HandlerFunc(func(req transport.Request, reply func(transport.Reply)) {
+			reply(transport.Reply{Payload: []byte(`{"role":"oss","policy":"adaptbf"}`)})
+		}))
+	}()
+	h, err := waitHealthy(l.Addr().String())
+	if err != nil {
+		t.Fatalf("waitHealthy gave up on a node that hung up once: %v", err)
+	}
+	if h.Role != "oss" || h.Policy != "adaptbf" {
+		t.Fatalf("health = %+v, want the served one", h)
+	}
+}
+
+// TestWaitHealthyNamesWireVersions: a node on another wire version can
+// never answer the health probe. waitHealthy must say so at once, with
+// both versions, instead of "never became healthy" after
+// remoteReadyTimeout. The fake is what a node built before frames did
+// with this build's preamble: read it as a malformed gob length, hang up.
+func TestWaitHealthyNamesWireVersions(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			conn.Read(make([]byte, 4096))
+			conn.Close()
+		}
+	}()
+	start := time.Now()
+	_, err = waitHealthy(l.Addr().String())
+	if !errors.Is(err, transport.ErrHandshake) {
+		t.Fatalf("err = %v, want transport.ErrHandshake", err)
+	}
+	for _, want := range []string{"this side speaks frame v1", "the peer", "NodeBin"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %q, want it to mention %q", err, want)
+		}
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("waitHealthy took %v to refuse a peer on another wire", elapsed)
+	}
 }

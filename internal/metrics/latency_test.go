@@ -151,3 +151,55 @@ func TestFeedDigest(t *testing.T) {
 		t.Fatal("unknown job fed samples")
 	}
 }
+
+// TestFoldingRecorder: the folding form keeps one digest per job and
+// nothing else, and answers every query the exact form answers — count,
+// mean and max exactly, percentiles as the digest of the same samples
+// would, FeedDigest/FeedDigestJob as merges that equal the exact form's
+// sample walk.
+func TestFoldingRecorder(t *testing.T) {
+	var exact LatencyRecorder
+	folding := NewFoldingLatencyRecorder()
+	ia, ib := folding.JobIndex("a"), folding.JobIndex("b")
+	folding.JobIndex("ghost")
+	folding.Reserve(ia, 1<<20) // nothing to reserve; must not panic or allocate samples
+	for i := 1; i <= 5000; i++ {
+		da := time.Duration(i*7919%4000+50) * time.Microsecond
+		db := time.Duration(i) * time.Millisecond
+		exact.Record("a", da)
+		exact.Record("b", db)
+		folding.RecordIdx(ia, da)
+		folding.RecordIdx(ib, db)
+	}
+	if got := folding.Jobs(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("Jobs = %v, want [a b]", got)
+	}
+	for _, samples := range folding.byJob {
+		if cap(samples) != 0 {
+			t.Fatal("a folding recorder kept samples")
+		}
+	}
+	for _, job := range []string{"a", "b", "ghost", "missing"} {
+		if folding.Count(job) != exact.Count(job) || folding.Mean(job) != exact.Mean(job) || folding.Max(job) != exact.Max(job) {
+			t.Errorf("job %s: count/mean/max %d/%v/%v, exact form %d/%v/%v", job,
+				folding.Count(job), folding.Mean(job), folding.Max(job), exact.Count(job), exact.Mean(job), exact.Max(job))
+		}
+		want, got := stats.NewDigest(), stats.NewDigest()
+		exact.FeedDigestJob(want, job)
+		folding.FeedDigestJob(got, job)
+		if *want != *got {
+			t.Errorf("job %s: FeedDigestJob differs between the forms", job)
+		}
+		for _, p := range []float64{0, 50, 99, 100} {
+			if folding.Percentile(job, p) != want.Quantile(p) {
+				t.Errorf("job %s: p%v = %v, the digest of the same samples says %v", job, p, folding.Percentile(job, p), want.Quantile(p))
+			}
+		}
+	}
+	want, got := stats.NewDigest(), stats.NewDigest()
+	exact.FeedDigest(want)
+	folding.FeedDigest(got)
+	if *want != *got || got.N() != 10000 {
+		t.Fatalf("FeedDigest differs between the forms (n=%d, want 10000)", got.N())
+	}
+}

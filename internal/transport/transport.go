@@ -1,7 +1,19 @@
 // Package transport provides the wire protocol for the real-time cluster
 // mode: a minimal asynchronous RPC layer carrying storage requests from
-// client processes to object storage servers, framed with encoding/gob
-// over any net.Conn (TCP for multi-process runs, net.Pipe in tests).
+// client processes to object storage servers, over any net.Conn (TCP
+// for multi-process runs, net.Pipe in tests).
+//
+// The wire is binary frames (frame.go has the layout): each direction
+// opens with a magic+version preamble, so a peer on another version fails
+// the connection at its first frame with both versions named, and then
+// carries length-prefixed fixed-layout requests and replies, encoded into
+// and decoded from per-connection reused buffers. Writes follow one rule
+// (writer.go): a frame sent while nothing else is outstanding on its
+// connection is written by its sender at once; any other is queued for a
+// flusher goroutine that yields once, so concurrent senders share one
+// system call. A connection holds at most eight frames accepted and not
+// yet written; a sender beyond that waits for the wire, as every sender
+// does when it writes for itself.
 //
 // The protocol is deliberately Lustre-shaped: a request carries the JobID
 // the server classifies on, an opcode, a payload size, and a stream
@@ -22,12 +34,12 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -58,8 +70,6 @@ type Reply struct {
 	// and answered definitively — so CallCtx surfaces it as a typed
 	// *RejectedError that retry loops must treat as terminal: retrying
 	// would defeat the overload protection the rejection implements.
-	// Gob-compatible: old peers never set it (decoded as 0) and ignore
-	// it when present.
 	Reject uint8
 
 	// Payload is the control-plane response counterpart of
@@ -70,16 +80,9 @@ type Reply struct {
 	// (connection death, context expiry) so Call/CallCtx can return the
 	// typed sentinel — errors.Is(err, ErrClosed) and
 	// errors.Is(err, context.DeadlineExceeded) both work — instead of a
-	// stringified copy. Unexported: gob ignores it, so the wire format is
-	// unchanged and a genuine server-sent error arrives with failure nil.
+	// stringified copy. Never on the wire: a genuine server-sent error
+	// arrives with failure nil.
 	failure error
-}
-
-// envelope is the single wire message type, so one gob stream carries both
-// directions' traffic uniformly.
-type envelope struct {
-	Req *Request
-	Rep *Reply
 }
 
 // ErrClosed is returned by calls on a closed client.
@@ -139,25 +142,32 @@ type Caller interface {
 
 // pendingCall is one in-flight request's delivery slot. Exactly one
 // goroutine delivers: whoever removes the entry from the pending map
-// (recvLoop on reply, fail on connection death, the DoCtx watchdog on
-// context expiry) sends on ch and closes settled.
+// (recvLoop on reply, fail on connection death, the waiter itself on
+// context expiry). CallCtx takes its slot from callPool and waits on it
+// inline; DoCtx, which hands the channel out, makes a slot of its own
+// with a settled channel for its context watchdog.
 type pendingCall struct {
-	ch      chan Reply
-	settled chan struct{}
+	ch      chan Reply    // buffered 1: deliver never blocks
+	settled chan struct{} // closed on delivery; nil on pooled slots
 }
 
 func (p *pendingCall) deliver(rep Reply) {
-	p.ch <- rep // buffered 1, never blocks
-	close(p.settled)
+	p.ch <- rep
+	if p.settled != nil {
+		close(p.settled)
+	}
 }
+
+// callPool recycles CallCtx's slots. A slot goes back only after its one
+// delivery was received (or ruled out), so its channel is always empty.
+var callPool = sync.Pool{New: func() any { return &pendingCall{ch: make(chan Reply, 1)} }}
 
 // A Client issues asynchronous requests over one connection. It is safe
 // for concurrent use: many goroutines may Do at once, one internal loop
 // dispatches replies.
 type Client struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	encM sync.Mutex
+	w    *frameWriter
 
 	mu      sync.Mutex
 	pending map[uint64]*pendingCall
@@ -169,11 +179,8 @@ type Client struct {
 // NewClient wraps an established connection. The caller owns nothing
 // afterwards; Close tears the connection down.
 func NewClient(conn net.Conn) *Client {
-	c := &Client{
-		conn:    conn,
-		enc:     gob.NewEncoder(conn),
-		pending: make(map[uint64]*pendingCall),
-	}
+	c := &Client{conn: conn, pending: make(map[uint64]*pendingCall)}
+	c.w = newFrameWriter(conn, func(err error) { c.fail(fmt.Errorf("transport: send: %w", err)) })
 	go c.recvLoop()
 	return c
 }
@@ -213,18 +220,34 @@ func (c *Client) take(seq uint64) *pendingCall {
 // has no pending slot — already failed, already timed out, or a
 // duplicate reply for an earlier seq — is dropped.
 func (c *Client) recvLoop() {
-	dec := gob.NewDecoder(c.conn)
-	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
-			c.fail(err)
-			return
+	c.fail(c.receive(newFrameReader(c.conn)))
+}
+
+// receive delivers replies until the connection fails, and says how.
+func (c *Client) receive(r *frameReader) error {
+	if err := r.preamble(); err != nil {
+		// Nothing came back. Closed here, or before this side said
+		// anything, that is a connection dying; a peer that was sent this
+		// side's preamble and hung up on it is one that could not read it.
+		if !errors.Is(err, ErrHandshake) && !closedHere(err) && c.w.opened() {
+			err = errSilentPeer(err)
 		}
-		if env.Rep == nil {
+		return err
+	}
+	for {
+		f, err := r.next()
+		if err != nil {
+			return err
+		}
+		if f[0] != kindReply {
 			continue // ignore stray traffic
 		}
-		if p := c.take(env.Rep.Seq); p != nil {
-			p.deliver(*env.Rep)
+		rep, err := decodeReply(f)
+		if err != nil {
+			return err
+		}
+		if p := c.take(rep.Seq); p != nil {
+			p.deliver(rep)
 		}
 	}
 }
@@ -253,6 +276,33 @@ func (c *Client) fail(err error) {
 	}
 }
 
+// issue registers p as the next seq's slot and sends the request. On a
+// send error the slot is unregistered again — or, when fail() got to it
+// first, its one delivery is consumed — so p is the caller's once more.
+func (c *Client) issue(req *Request, p *pendingCall) (uint64, error) {
+	c.mu.Lock()
+	if c.err != nil {
+		err := c.err
+		c.mu.Unlock()
+		return 0, err
+	}
+	c.seq++
+	seq := c.seq
+	c.pending[seq] = p
+	alone := len(c.pending) == 1
+	c.mu.Unlock()
+
+	if err := c.w.send(alone, seq, req, nil); err != nil {
+		// fail() may have delivered concurrently; only the goroutine that
+		// takes the slot owns it, so a double delivery cannot happen.
+		if c.take(seq) == nil {
+			<-p.ch
+		}
+		return 0, fmt.Errorf("transport: send: %w", err)
+	}
+	return seq, nil
+}
+
 // Do sends a request and returns a channel that will receive exactly one
 // Reply. The request's Seq is assigned by the client and returned for
 // correlation. The reply channel is unbounded in time — use DoCtx to
@@ -269,39 +319,31 @@ func (c *Client) DoCtx(ctx context.Context, req Request) (<-chan Reply, uint64, 
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	p := &pendingCall{ch: make(chan Reply, 1), settled: make(chan struct{})}
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
+	p := &pendingCall{ch: make(chan Reply, 1)}
+	if ctx.Done() != nil {
+		p.settled = make(chan struct{})
+	}
+	seq, err := c.issue(&req, p)
+	if err != nil {
 		return nil, 0, err
 	}
-	c.seq++
-	req.Seq = c.seq
-	c.pending[req.Seq] = p
-	c.mu.Unlock()
-
-	c.encM.Lock()
-	err := c.enc.Encode(envelope{Req: &req})
-	c.encM.Unlock()
-	if err != nil {
-		// fail() may have delivered concurrently; only the goroutine that
-		// takes the slot owns it, so a double delivery cannot happen.
-		c.take(req.Seq)
-		return nil, 0, fmt.Errorf("transport: send: %w", err)
-	}
 	if ctx.Done() != nil {
-		go func(seq uint64) {
+		go func() {
 			select {
 			case <-p.settled:
 			case <-ctx.Done():
 				if q := c.take(seq); q != nil {
-					q.deliver(Reply{Seq: seq, Err: ctx.Err().Error(), failure: ctx.Err()})
+					q.deliver(expired(ctx, seq))
 				}
 			}
-		}(req.Seq)
+		}()
 	}
-	return p.ch, req.Seq, nil
+	return p.ch, seq, nil
+}
+
+// expired is the reply a call gets when its context ends first.
+func expired(ctx context.Context, seq uint64) Reply {
+	return Reply{Seq: seq, Err: ctx.Err().Error(), failure: ctx.Err()}
 }
 
 // replyError extracts the call error from a delivered reply: the typed
@@ -335,11 +377,25 @@ func (c *Client) Call(req Request) (Reply, error) {
 // errors.Is(err, ErrClosed) and errors.Is(err, context.DeadlineExceeded)
 // both work; server-reported failures arrive as *RemoteError.
 func (c *Client) CallCtx(ctx context.Context, req Request) (Reply, error) {
-	ch, _, err := c.DoCtx(ctx, req)
+	if err := ctx.Err(); err != nil {
+		return Reply{}, err
+	}
+	p := callPool.Get().(*pendingCall)
+	defer callPool.Put(p)
+	seq, err := c.issue(&req, p)
 	if err != nil {
 		return Reply{}, err
 	}
-	rep := <-ch
+	var rep Reply
+	select {
+	case rep = <-p.ch:
+	case <-ctx.Done():
+		if c.take(seq) != nil {
+			rep = expired(ctx, seq)
+		} else {
+			rep = <-p.ch // taken a moment ago: its delivery is on the way
+		}
+	}
 	return rep, replyError(rep)
 }
 
@@ -364,39 +420,77 @@ type HandlerFunc func(req Request, reply func(Reply))
 func (f HandlerFunc) Handle(req Request, reply func(Reply)) { f(req, reply) }
 
 // ServeConn reads requests from conn and hands them to h until the
-// connection closes. It returns the read error that ended the loop
-// (io.EOF for a clean shutdown is reported as nil).
+// connection closes. It returns the read error that ended the loop; a
+// clean shutdown — the peer hung up between frames, or this side closed
+// the connection — is reported as nil. A peer whose preamble is not this
+// side's gets this side's preamble, so it can name both versions, and
+// the connection closed; the error wraps ErrHandshake.
 //
 // A failed reply write poisons the connection: the conn is closed so
 // this read loop exits and the peer's pending calls fail fast, instead
 // of a half-dead connection silently accepting and "serving" requests
 // whose replies all vanish.
 func ServeConn(conn net.Conn, h Handler) error {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var encM sync.Mutex
+	s := &serverConn{w: newFrameWriter(conn, nil)}
+	r := newFrameReader(conn)
+	if err := r.preamble(); err != nil {
+		if hungUp(err) {
+			return nil // connected and left without a word
+		}
+		if errors.Is(err, ErrHandshake) {
+			conn.SetWriteDeadline(time.Now().Add(time.Second))
+			conn.Write(appendPreamble(nil)) // best effort: the connection is dead either way
+		}
+		conn.Close()
+		return err
+	}
 	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+		f, err := r.next()
+		if err != nil {
+			if hungUp(err) {
 				return nil
 			}
 			return err
 		}
-		if env.Req == nil {
+		if f[0] != kindRequest {
 			continue
 		}
-		req := *env.Req
-		h.Handle(req, func(rep Reply) {
-			rep.Seq = req.Seq
-			encM.Lock()
-			defer encM.Unlock()
-			if err := enc.Encode(envelope{Rep: &rep}); err != nil {
-				// The write side is dead: poison the whole connection so
-				// the decode loop above exits instead of serving on.
-				conn.Close()
-			}
-		})
+		req, err := r.request(f)
+		if err != nil {
+			return err
+		}
+		seq := req.Seq
+		s.unanswered.Add(1)
+		h.Handle(req, func(rep Reply) { s.reply(seq, &rep) })
+	}
+}
+
+// closedHere reports whether a read ended because this side closed the
+// connection.
+func closedHere(err error) bool {
+	return errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe)
+}
+
+// hungUp reports whether a read ended because either side closed the
+// connection between frames.
+func hungUp(err error) bool { return errors.Is(err, io.EOF) || closedHere(err) }
+
+// serverConn is the reply side of one served connection.
+type serverConn struct {
+	w *frameWriter
+	// unanswered counts requests handed to the handler and not yet
+	// replied to. A handler that replies twice skews it low; the count
+	// only picks between two correct ways to write, so that is harmless.
+	unanswered atomic.Int64
+}
+
+func (s *serverConn) reply(seq uint64, rep *Reply) {
+	alone := s.unanswered.Add(-1) <= 0
+	if err := s.w.send(alone, seq, nil, rep); err != nil {
+		// The write side is dead, or the reply cannot be framed: poison
+		// the whole connection so the read loop exits instead of
+		// serving on.
+		s.w.conn.Close()
 	}
 }
 
