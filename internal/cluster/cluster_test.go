@@ -542,7 +542,7 @@ func TestSFQOSSHasNoRuleEngine(t *testing.T) {
 	if err := eng.StopRule("r", o.Now()); !errors.Is(err, ErrNoRuleEngine) {
 		t.Fatalf("StopRule err = %v, want ErrNoRuleEngine", err)
 	}
-	if rules := eng.Rules(); len(rules) != 0 {
+	if rules := eng.AppendRules(nil); len(rules) != 0 {
 		t.Fatalf("SFQ engine reports rules: %v", rules)
 	}
 	defer func() {
@@ -561,20 +561,20 @@ func TestOSSStaticRulesViaEngine(t *testing.T) {
 	if err := eng.StartRule(ruleFor("cap.n1", 50), o.Now()); err != nil {
 		t.Fatal(err)
 	}
-	rules := eng.Rules()
+	rules := eng.AppendRules(nil)
 	if len(rules) != 1 || rules[0].Rate != 50 {
 		t.Fatalf("rules = %+v", rules)
 	}
 	if err := eng.ChangeRule("test_cap.n1", 75, 2, o.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Rules()[0].Rate; got != 75 {
+	if got := eng.AppendRules(nil)[0].Rate; got != 75 {
 		t.Fatalf("rate after change = %v", got)
 	}
 	if err := eng.StopRule("test_cap.n1", o.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if len(eng.Rules()) != 0 {
+	if len(eng.AppendRules(nil)) != 0 {
 		t.Fatal("rule not stopped")
 	}
 }

@@ -222,13 +222,13 @@ func (s *ShardedTBF) Engine() rules.Engine { return shardedEngine{s} }
 
 type shardedEngine struct{ s *ShardedTBF }
 
-func (e shardedEngine) Rules() []tbf.Rule {
+func (e shardedEngine) AppendRules(dst []tbf.Rule) []tbf.Rule {
 	// Every shard holds the same rule set; report shard 0's view.
 	sh := e.s.gate.shards[0]
 	observeLock(&sh.mu, e.s.gate.waitH)
-	out := e.s.scheds[0].Rules()
+	dst = e.s.scheds[0].AppendRules(dst)
 	sh.mu.Unlock()
-	return out
+	return dst
 }
 
 func (e shardedEngine) StartRule(r tbf.Rule, now int64) error {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,7 +75,9 @@ func (c *GIFTCoordinator) Handle(req transport.Request, reply func(transport.Rep
 	}
 	c.mu.Lock()
 	rep := GIFTWalkReply{
-		Allocs:             c.ctrl.Allocate(walk.Active, walk.MaxRate),
+		// Copied: the controller reuses its result buffer on the next
+		// walk, and the reply is encoded after the lock is released.
+		Allocs:             slices.Clone(c.ctrl.Allocate(walk.Active, walk.MaxRate)),
 		BankEntries:        c.ctrl.BankEntries(),
 		CouponsOutstanding: c.ctrl.OutstandingCoupons(),
 	}

@@ -175,7 +175,7 @@ func TestLiveGIFTAgentsDriveRules(t *testing.T) {
 		if st.RuleOps > 0 {
 			ruleSeen = true
 		}
-		for _, r := range osses[i].Engine().Rules() {
+		for _, r := range osses[i].Engine().AppendRules(nil) {
 			if len(r.Name) >= 5 && r.Name[:5] == "gift_" {
 				ruleSeen = true
 			}

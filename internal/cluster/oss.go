@@ -497,10 +497,9 @@ type lockedTBFEngine struct {
 	sched *tbf.Scheduler
 }
 
-func (e lockedTBFEngine) Rules() []tbf.Rule {
-	var out []tbf.Rule
-	e.g.withLock(func() { out = e.sched.Rules() })
-	return out
+func (e lockedTBFEngine) AppendRules(dst []tbf.Rule) []tbf.Rule {
+	e.g.withLock(func() { dst = e.sched.AppendRules(dst) })
+	return dst
 }
 
 func (e lockedTBFEngine) StartRule(r tbf.Rule, now int64) error {
@@ -528,7 +527,7 @@ type wakeEngine struct {
 	wake  func()
 }
 
-func (e wakeEngine) Rules() []tbf.Rule { return e.inner.Rules() }
+func (e wakeEngine) AppendRules(dst []tbf.Rule) []tbf.Rule { return e.inner.AppendRules(dst) }
 
 func (e wakeEngine) StartRule(r tbf.Rule, now int64) error {
 	err := e.inner.StartRule(r, now)
@@ -558,7 +557,7 @@ var ErrNoRuleEngine = errors.New("cluster: this OSS's gate has no TBF rule engin
 // disappearing.
 type noRuleEngine struct{}
 
-func (noRuleEngine) Rules() []tbf.Rule                            { return nil }
+func (noRuleEngine) AppendRules(dst []tbf.Rule) []tbf.Rule        { return dst }
 func (noRuleEngine) StartRule(tbf.Rule, int64) error              { return ErrNoRuleEngine }
 func (noRuleEngine) ChangeRule(string, float64, int, int64) error { return ErrNoRuleEngine }
 func (noRuleEngine) StopRule(string, int64) error                 { return ErrNoRuleEngine }

@@ -22,8 +22,11 @@ import (
 // A StatsSource yields the per-job activity of the observation period that
 // just ended. *jobstats.Tracker implements it.
 type StatsSource interface {
-	Snapshot() []jobstats.Stat
-	Clear()
+	// Drain appends the ended period's activity to dst and starts the next
+	// period empty, in one step.
+	Drain(dst []jobstats.Stat) []jobstats.Stat
+	// Merge returns drained activity to the current period.
+	Merge(stats []jobstats.Stat)
 }
 
 var _ StatsSource = (*jobstats.Tracker)(nil)
@@ -43,6 +46,10 @@ func (f NodeMapperFunc) Nodes(jobID string) int { return f(jobID) }
 
 // A TickReport describes one completed control cycle; it feeds the paper's
 // §IV-G overhead analysis and the Figure 7 record timelines.
+//
+// Allocations and Ops.Applied are buffers the allocator and the rule daemon
+// reuse: they are valid until the controller's next Tick, which overwrites
+// them. An OnTick observer or Tick caller that keeps them copies them.
 type TickReport struct {
 	Now         int64             // scheduler time the cycle ran at
 	Active      int               // number of active jobs observed
@@ -85,6 +92,10 @@ type Config struct {
 // A Controller runs the periodic AdapTBF cycle for one storage target.
 type Controller struct {
 	cfg Config
+
+	// Per-Tick buffers, reused so a steady-state cycle allocates nothing.
+	stats      []jobstats.Stat
+	activities []core.Activity
 }
 
 // New returns a Controller. All of Stats, Nodes, Alloc, and Daemon are
@@ -100,21 +111,23 @@ func New(cfg Config) *Controller {
 func (c *Controller) Period() time.Duration { return c.cfg.Alloc.Period() }
 
 // Tick runs one full control cycle at scheduler time now and returns its
-// report. Stats are cleared only after rules are applied, mirroring steps
-// (8)-(9) of the paper's workflow, so no observation is lost if the rule
-// engine fails: the next cycle sees the accumulated demand.
+// report. The period's stats are drained up front — ending the observation
+// period in one step, so RPCs observed while the cycle runs count toward
+// the next period instead of being cleared uncounted — and merged back if
+// the rule engine fails, so no observation is lost: the next cycle sees
+// the accumulated demand (steps (8)-(9) of the paper's workflow).
 func (c *Controller) Tick(now int64) TickReport {
 	start := time.Now()
 	rep := TickReport{Now: now}
 
-	snap := c.cfg.Stats.Snapshot()
-	activities := make([]core.Activity, len(snap))
-	for i, s := range snap {
-		activities[i] = core.Activity{
+	c.stats = c.cfg.Stats.Drain(c.stats[:0])
+	activities := c.activities[:0]
+	for _, s := range c.stats {
+		activities = append(activities, core.Activity{
 			Job:    core.JobID(s.JobID),
 			Nodes:  c.cfg.Nodes.Nodes(s.JobID),
 			Demand: s.RPCs,
-		}
+		})
 	}
 	if c.cfg.Backlog != nil {
 		pending := c.cfg.Backlog()
@@ -135,6 +148,7 @@ func (c *Controller) Tick(now int64) TickReport {
 			})
 		}
 	}
+	c.activities = activities
 	rep.Active = len(activities)
 
 	allocStart := time.Now()
@@ -144,8 +158,8 @@ func (c *Controller) Tick(now int64) TickReport {
 	ops, err := c.cfg.Daemon.Apply(rep.Allocations, now)
 	rep.Ops = ops
 	rep.Err = err
-	if err == nil {
-		c.cfg.Stats.Clear()
+	if err != nil {
+		c.cfg.Stats.Merge(c.stats)
 	}
 
 	rep.TotalTime = time.Since(start)

@@ -29,9 +29,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -138,25 +139,92 @@ type Allocator struct {
 	recordTTL        int
 	estimate         DemandEstimator
 
-	records    map[JobID]float64 // r_x: >0 lent, <0 borrowed
-	remainders map[JobID]float64 // ρ_x carried across steps and periods
-	prevAlloc  map[JobID]int64   // α^{t-1}_x (final tokens of previous period)
-	lastActive map[JobID]int     // period index of last activity, for TTL
-	poolCarry  float64           // fractional part of T_i·Δt carried across periods
-	periodIdx  int
+	// Per-job persistent state lives in a dense table: a job is interned
+	// to a slot once per period (one map lookup) and every step then
+	// indexes the table. Slots of evicted jobs are recycled through free.
+	index     map[JobID]int32
+	state     []jobState
+	free      []int32
+	poolCarry float64 // fractional part of T_i·Δt carried across periods
+	periodIdx int
 
 	// Per-Allocate scratch, reused every period so that the steady-state
-	// control cycle allocates only its returned []Allocation. Each buffer
-	// maps to one intermediate of the three-step algorithm.
+	// control cycle allocates nothing. Each buffer maps to one intermediate
+	// of the three-step algorithm; out is what Allocate returns.
 	scr struct {
 		merged                  []Activity
+		slot                    []int32
+		out                     []Allocation
 		raw, u, df              []float64
 		rBefore, rRD, rFinal    []float64
 		surplus, rawRD, rem     []float64
 		reclaim, rawRC          []float64
 		initial, afterRD, final []int64
 		plus, minus             []bool
-		order                   []int
+		order                   []remOrder
+	}
+}
+
+// jobState is one job's persistent state.
+type jobState struct {
+	record     float64 // r_x: >0 lent, <0 borrowed
+	remainder  float64 // ρ_x carried across steps and periods
+	prevAlloc  int64   // α^{t-1}_x (final tokens of previous period)
+	lastActive int     // period index of last activity, for TTL
+}
+
+// remOrder is one entry of the largest-remainder pick order.
+type remOrder struct {
+	rem float64
+	idx int
+}
+
+// pickOrder orders entries as the naive largest-remainder scan picks them:
+// the larger remainder first, the lower index on ties (remainders are never
+// NaN, so plain comparisons do).
+func pickOrder(x, y remOrder) int {
+	switch {
+	case x.rem > y.rem:
+		return -1
+	case x.rem < y.rem:
+		return 1
+	}
+	return x.idx - y.idx
+}
+
+// selectFirst reorders s so that its first k entries are the k picked
+// first, in no particular sequence (quickselect with a median-of-three
+// pivot: linear time on average).
+func selectFirst(s []remOrder, k int) {
+	// Everything in s[:lo] is picked before everything in s[lo:hi], which
+	// is picked before everything in s[hi:]; the boundary k lies in between.
+	for lo, hi := 0, len(s); hi-lo > 1; {
+		mid, last := lo+(hi-lo)/2, hi-1
+		if pickOrder(s[mid], s[lo]) < 0 {
+			s[lo], s[mid] = s[mid], s[lo]
+		}
+		if pickOrder(s[last], s[lo]) < 0 {
+			s[lo], s[last] = s[last], s[lo]
+		}
+		if pickOrder(s[mid], s[last]) < 0 {
+			s[mid], s[last] = s[last], s[mid]
+		}
+		pivot, i := s[last], lo // the median of the three, parked at last
+		for j := lo; j < last; j++ {
+			if pickOrder(s[j], pivot) < 0 {
+				s[i], s[j] = s[j], s[i]
+				i++
+			}
+		}
+		s[i], s[last] = s[last], s[i]
+		switch {
+		case k < i:
+			hi = i
+		case k > i+1:
+			lo = i + 1
+		default:
+			return
+		}
 	}
 }
 
@@ -181,12 +249,9 @@ func New(cfg Config, opts ...Option) *Allocator {
 		panic(fmt.Sprintf("core: non-positive Period %v", cfg.Period))
 	}
 	a := &Allocator{
-		maxRate:    cfg.MaxRate,
-		period:     cfg.Period,
-		records:    make(map[JobID]float64),
-		remainders: make(map[JobID]float64),
-		prevAlloc:  make(map[JobID]int64),
-		lastActive: make(map[JobID]int),
+		maxRate: cfg.MaxRate,
+		period:  cfg.Period,
+		index:   make(map[JobID]int32),
 	}
 	for _, o := range opts {
 		o(a)
@@ -211,13 +276,18 @@ func (a *Allocator) TokensPerPeriod() float64 {
 
 // RecordOf reports job x's current record r_x: positive means tokens lent,
 // negative means tokens borrowed.
-func (a *Allocator) RecordOf(job JobID) float64 { return a.records[job] }
+func (a *Allocator) RecordOf(job JobID) float64 {
+	if s, ok := a.index[job]; ok {
+		return a.state[s].record
+	}
+	return 0
+}
 
 // Records returns a copy of all job records.
 func (a *Allocator) Records() map[JobID]float64 {
-	out := make(map[JobID]float64, len(a.records))
-	for k, v := range a.records {
-		out[k] = v
+	out := make(map[JobID]float64, len(a.index))
+	for job, s := range a.index {
+		out[job] = a.state[s].record
 	}
 	return out
 }
@@ -225,22 +295,28 @@ func (a *Allocator) Records() map[JobID]float64 {
 // Reset discards all persistent state (records, remainders, previous
 // allocations), returning the allocator to its initial condition.
 func (a *Allocator) Reset() {
-	clearMap(a.records)
-	clearMap(a.remainders)
-	for k := range a.prevAlloc {
-		delete(a.prevAlloc, k)
-	}
-	for k := range a.lastActive {
-		delete(a.lastActive, k)
-	}
+	clear(a.index)
+	a.state = a.state[:0]
+	a.free = a.free[:0]
 	a.poolCarry = 0
 	a.periodIdx = 0
 }
 
-func clearMap(m map[JobID]float64) {
-	for k := range m {
-		delete(m, k)
+// slotOf interns a job, taking a recycled slot when one is free.
+func (a *Allocator) slotOf(job JobID) int32 {
+	if s, ok := a.index[job]; ok {
+		return s
 	}
+	var s int32
+	if n := len(a.free); n > 0 {
+		s, a.free = a.free[n-1], a.free[:n-1]
+		a.state[s] = jobState{}
+	} else {
+		s = int32(len(a.state))
+		a.state = append(a.state, jobState{})
+	}
+	a.index[job] = s
+	return s
 }
 
 // Allocate runs the three-step algorithm over the active jobs of the
@@ -249,6 +325,10 @@ func clearMap(m map[JobID]float64) {
 // first entry's Nodes wins). An empty active set returns nil and leaves
 // records untouched: with nobody to lend to or borrow from, there is
 // nothing to decide.
+//
+// The returned slice is the allocator's own buffer: it is valid until the
+// next call to Allocate, which overwrites it. Callers that keep a period's
+// allocations copy them.
 func (a *Allocator) Allocate(active []Activity) []Allocation {
 	a.periodIdx++
 	a.evictExpired()
@@ -262,8 +342,10 @@ func (a *Allocator) Allocate(active []Activity) []Allocation {
 
 	jobs := a.mergeActivities(active)
 	n := len(jobs)
+	slot := sbuf(&a.scr.slot, n)
 	for i := range jobs {
-		a.lastActive[jobs[i].Job] = a.periodIdx
+		slot[i] = a.slotOf(jobs[i].Job)
+		a.state[slot[i]].lastActive = a.periodIdx
 	}
 
 	// --- Step 1: priority-based initial allocation (Eq. 1-2). ---
@@ -275,14 +357,14 @@ func (a *Allocator) Allocate(active []Activity) []Allocation {
 	target := int64(math.Floor(pool))
 	a.poolCarry = pool - float64(target)
 
-	out := make([]Allocation, n) // escapes into the TickReport; not pooled
+	out := sbuf(&a.scr.out, n)
 	raw := sbuf(&a.scr.raw, n)
 	for i, j := range jobs {
 		p := float64(j.Nodes) / float64(totalNodes)
 		out[i] = Allocation{Job: j.Job, Priority: p, Demand: j.Demand}
 		raw[i] = float64(target) * p
 	}
-	initial := a.integerize(sbuf(&a.scr.initial, n), jobs, raw, target)
+	initial := a.integerize(sbuf(&a.scr.initial, n), slot, raw, target)
 	for i := range out {
 		out[i].Initial = initial[i]
 	}
@@ -294,7 +376,7 @@ func (a *Allocator) Allocate(active []Activity) []Allocation {
 	df := sbuf(&a.scr.df, n)
 	var sumDF float64
 	for i, j := range jobs {
-		prev := a.prevAlloc[j.Job]
+		prev := a.state[slot[i]].prevAlloc
 		u[i] = float64(j.Demand) / math.Max(1, float64(prev))
 		out[i].Utilization = u[i]
 		if u[i] > 1 {
@@ -307,8 +389,8 @@ func (a *Allocator) Allocate(active []Activity) []Allocation {
 
 	rBefore := sbuf(&a.scr.rBefore, n) // r^t_x
 	rRD := sbuf(&a.scr.rRD, n)         // r^t_{x,RD}
-	for i, j := range jobs {
-		rBefore[i] = a.records[j.Job]
+	for i := range jobs {
+		rBefore[i] = a.state[slot[i]].record
 		rRD[i] = rBefore[i]
 	}
 
@@ -332,7 +414,7 @@ func (a *Allocator) Allocate(active []Activity) []Allocation {
 				out[i].RedistributionReceived = share
 				rRD[i] = rBefore[i] + surplus[i] - share
 			}
-			afterRD = a.integerize(afterRD, jobs, rawRD, target)
+			afterRD = a.integerize(afterRD, slot, rawRD, target)
 		}
 	}
 	for i := range out {
@@ -345,15 +427,16 @@ func (a *Allocator) Allocate(active []Activity) []Allocation {
 	rFinal := append(a.scr.rFinal[:0], rRD...)
 	a.scr.rFinal = rFinal
 	if !a.noRedistribution && !a.noRecompensation {
-		a.recompensate(jobs, out, u, df, rBefore, rRD, afterRD, final, rFinal, target)
+		a.recompensate(jobs, slot, out, u, df, rBefore, rRD, afterRD, final, rFinal, target)
 	}
 
 	// Persist state and finish. Entries of inactive jobs stay: α^{t-1} for
 	// a job returning from idle is its last known allocation.
 	sec := a.period.Seconds()
-	for i, j := range jobs {
-		a.records[j.Job] = rFinal[i]
-		a.prevAlloc[j.Job] = final[i]
+	for i := range jobs {
+		st := &a.state[slot[i]]
+		st.record = rFinal[i]
+		st.prevAlloc = final[i]
 		out[i].Tokens = final[i]
 		out[i].Rate = float64(final[i]) / sec
 		out[i].Record = rFinal[i]
@@ -362,7 +445,7 @@ func (a *Allocator) Allocate(active []Activity) []Allocation {
 }
 
 // recompensate implements Eq. 9-20 in place over final and rFinal.
-func (a *Allocator) recompensate(jobs []Activity, out []Allocation, u, df, rBefore, rRD []float64, afterRD, final []int64, rFinal []float64, target int64) {
+func (a *Allocator) recompensate(jobs []Activity, slot []int32, out []Allocation, u, df, rBefore, rRD []float64, afterRD, final []int64, rFinal []float64, target int64) {
 	n := len(jobs)
 	// J₊ and J₋ membership requires the record sign to persist across the
 	// redistribution step (Eq. 9-10).
@@ -435,14 +518,15 @@ func (a *Allocator) recompensate(jobs []Activity, out []Allocation, u, df, rBefo
 			rawRC[i] = float64(afterRD[i])
 		}
 	}
-	a.integerize(final, jobs, rawRC, target)
+	a.integerize(final, slot, rawRC, target)
 }
 
 // integerize floors the raw allocations with per-job carried remainders
 // (Eq. 23-25) and then enforces Σ = target with the largest-remainder
 // method, exactly as §III-C4 prescribes. The result is written into out
-// (len(raw) entries, every index assigned), which is also returned.
-func (a *Allocator) integerize(out []int64, jobs []Activity, raw []float64, target int64) []int64 {
+// (len(raw) entries, every index assigned), which is also returned. slot
+// holds each entry's job slot.
+func (a *Allocator) integerize(out []int64, slot []int32, raw []float64, target int64) []int64 {
 	n := len(raw)
 	if a.noRemainders {
 		for i, v := range raw {
@@ -457,7 +541,7 @@ func (a *Allocator) integerize(out []int64, jobs []Activity, raw []float64, targ
 	rem := sbuf(&a.scr.rem, n)
 	var sum int64
 	for i, v := range raw {
-		x := v + a.remainders[jobs[i].Job]
+		x := v + a.state[slot[i]].remainder
 		if x < 0 {
 			x = 0
 		}
@@ -468,52 +552,54 @@ func (a *Allocator) integerize(out []int64, jobs []Activity, raw []float64, targ
 	}
 	// Largest-remainder correction. A naive argmax scan per unit is O(n)
 	// per correction and quadratic overall — visible at the paper's 1000
-	// active jobs (§IV-G expects linear scaling). The scan's pick order is
-	// in fact fully determined up front, so one sort replays the exact
-	// same sequence of ±1 adjustments:
+	// active jobs (§IV-G expects linear scaling). The scan's picks are in
+	// fact fully determined up front by the descending (remainder, then
+	// lowest index) order, so the same ±1 adjustments are replayed from it,
+	// and only as much of that order as the correction needs is ever built:
 	//
 	//   - taking (sum > target): the picked job's remainder jumps above 1
 	//     and stays maximal while its tokens last, so the scan drains jobs
-	//     whole, in descending (remainder, then lowest index) order;
-	//   - giving (sum < target): a picked remainder drops below 0 while
-	//     untouched ones stay strictly within [0, 1), so the scan's first
-	//     n picks walk the descending order exactly once; the (degenerate)
-	//     deficit beyond one full round keeps the naive scan.
+	//     whole in that order. The first job usually holds the whole excess,
+	//     so the order is produced a few jobs at a time — select the next
+	//     batch, sort just it — doubling the batch while excess remains;
+	//   - giving (sum < target by k): a picked remainder drops below 0
+	//     while untouched ones stay strictly within [0, 1), so the scan's
+	//     first n picks take one job each, the k that sort first. Which k
+	//     matters, their sequence does not — one selection, no sort. The
+	//     (degenerate) deficit beyond one full round keeps the naive scan.
 	//
-	// The per-unit rem updates are kept as repeated ±1 float operations in
-	// the original pick order, so the carried remainders stay bit-for-bit
-	// identical to the naive loop's.
+	// The per-unit rem updates are kept as repeated ±1 float operations, so
+	// the carried remainders stay bit-for-bit identical to the naive
+	// loop's.
 	if sum != target {
 		order := a.scr.order[:0]
 		for i := 0; i < n; i++ {
-			order = append(order, i)
+			order = append(order, remOrder{rem: rem[i], idx: i})
 		}
 		a.scr.order = order
-		sort.Slice(order, func(x, y int) bool {
-			if rem[order[x]] != rem[order[y]] {
-				return rem[order[x]] > rem[order[y]]
-			}
-			return order[x] < order[y]
-		})
-		for _, i := range order {
-			if sum <= target {
-				break
-			}
-			for out[i] > 0 && sum > target {
-				out[i]--
-				rem[i]++
-				sum--
+	}
+	if sum > target {
+		for done, batch := 0, 4; sum > target && done < n; done, batch = batch, 2*batch {
+			batch = min(batch, n)
+			next := a.scr.order[done:]
+			selectFirst(next, batch-done)
+			next = next[:batch-done]
+			slices.SortFunc(next, pickOrder)
+			for _, o := range next {
+				for i := o.idx; out[i] > 0 && sum > target; sum-- {
+					out[i]--
+					rem[i]++
+				}
 			}
 		}
-		for _, i := range order {
-			if sum >= target {
-				break
-			}
-			out[i]++
-			rem[i]--
-			sum++
+	} else if sum < target {
+		k := int(min(target-sum, int64(n)))
+		selectFirst(a.scr.order, k)
+		for _, o := range a.scr.order[:k] {
+			out[o.idx]++
+			rem[o.idx]--
 		}
-		for sum < target { // deficit beyond one full round: exact naive scan
+		for sum += int64(k); sum < target; sum++ { // beyond one full round: exact naive scan
 			best := 0
 			for i := 1; i < n; i++ {
 				if rem[i] > rem[best] {
@@ -522,26 +608,24 @@ func (a *Allocator) integerize(out []int64, jobs []Activity, raw []float64, targ
 			}
 			out[best]++
 			rem[best]--
-			sum++
 		}
 	}
-	for i, j := range jobs {
-		a.remainders[j.Job] = rem[i]
+	for i, r := range rem {
+		a.state[slot[i]].remainder = r
 	}
 	return out
 }
 
-// evictExpired drops state of jobs idle beyond the record TTL.
+// evictExpired drops state of jobs idle beyond the record TTL and returns
+// their slots to the free list.
 func (a *Allocator) evictExpired() {
 	if a.recordTTL <= 0 {
 		return
 	}
-	for j, last := range a.lastActive {
-		if a.periodIdx-last > a.recordTTL {
-			delete(a.lastActive, j)
-			delete(a.records, j)
-			delete(a.remainders, j)
-			delete(a.prevAlloc, j)
+	for job, s := range a.index {
+		if a.periodIdx-a.state[s].lastActive > a.recordTTL {
+			delete(a.index, job)
+			a.free = append(a.free, s)
 		}
 	}
 }
@@ -563,7 +647,7 @@ func (a *Allocator) mergeActivities(active []Activity) []Activity {
 	}
 	// A stable sort keeps duplicates in input order, so the run's first
 	// element carries the first entry's Nodes.
-	sort.SliceStable(buf, func(i, j int) bool { return buf[i].Job < buf[j].Job })
+	slices.SortStableFunc(buf, func(x, y Activity) int { return cmp.Compare(x.Job, y.Job) })
 	out := buf[:0]
 	for _, in := range buf {
 		if n := len(out); n > 0 && out[n-1].Job == in.Job {

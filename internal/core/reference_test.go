@@ -217,8 +217,9 @@ func (m *refModel) allocate(active []Activity) []Allocation {
 // randomPeriods builds a seeded activity sequence that exercises what the
 // optimized allocator's bookkeeping could get wrong: jobs arriving and
 // leaving for good, idle gaps longer than any TTL under test, zero and
-// invalid demands, duplicate entries, and unsorted input.
-func randomPeriods(rng *rand.Rand, periods int) [][]Activity {
+// invalid demands, duplicate entries, and unsorted input. At most maxPop
+// jobs exist at a time.
+func randomPeriods(rng *rand.Rand, periods, maxPop int) [][]Activity {
 	var out [][]Activity
 	pop := []JobID{"a.n1", "b.n2", "c.n3"}
 	next := 0
@@ -229,9 +230,11 @@ func randomPeriods(rng *rand.Rand, periods int) [][]Activity {
 				out = append(out, nil)
 			}
 			continue
-		case r < 4 && len(pop) < 12: // arrival
-			next++
-			pop = append(pop, JobID(fmt.Sprintf("job%03d.n%d", next, rng.Intn(4))))
+		case r < 4 && len(pop) < maxPop: // arrivals
+			for k := 1 + rng.Intn(1+maxPop/8); k > 0; k-- {
+				next++
+				pop = append(pop, JobID(fmt.Sprintf("job%03d.n%d", next, rng.Intn(4))))
+			}
 		case r < 6 && len(pop) > 1: // departure
 			i := rng.Intn(len(pop))
 			pop = append(pop[:i], pop[i+1:]...)
@@ -287,7 +290,13 @@ func TestAllocatorMatchesReferenceModel(t *testing.T) {
 				ref := newRefModel(rate, period)
 				v.set(ref)
 				a := New(Config{MaxRate: rate, Period: period}, v.opts...)
-				for p, acts := range randomPeriods(rng, 150) {
+				// Every fifth seed is crowded: many more jobs than tokens
+				// to go round, so corrections span many jobs.
+				maxPop := 12
+				if seed%5 == 0 {
+					maxPop = 90
+				}
+				for p, acts := range randomPeriods(rng, 150, maxPop) {
 					want, got := ref.allocate(acts), a.Allocate(acts)
 					if len(got) != len(want) {
 						t.Fatalf("seed %d period %d: %d allocations, reference has %d", seed, p, len(got), len(want))
@@ -309,5 +318,38 @@ func TestAllocatorMatchesReferenceModel(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIntegerizeMatchesNaiveScan pits the batched take path, the selection
+// give path and the beyond-one-round fallback against the reference's
+// one-unit-at-a-time scan on corrections far larger than the three-step
+// algorithm usually produces: random carried remainders (including the
+// negative and above-one values corrections leave behind), many ties, and
+// targets from zero to twice the floor sum.
+func TestIntegerizeMatchesNaiveScan(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(200)
+		a := New(Config{MaxRate: 1, Period: time.Second})
+		ref := newRefModel(1, time.Second)
+		jobs, slot := make([]JobID, n), make([]int32, n)
+		raw, rawByJob := make([]float64, n), map[JobID]float64{}
+		for i := range jobs {
+			jobs[i] = JobID(fmt.Sprintf("j%03d", i))
+			slot[i] = a.slotOf(jobs[i])
+			raw[i] = float64(rng.Intn(12)) / 4 // quarters: plenty of equal remainders
+			carried := float64(rng.Intn(12))/4 - 1
+			rawByJob[jobs[i]], ref.remainder[jobs[i]] = raw[i], carried
+			a.state[slot[i]].remainder = carried
+		}
+		target := int64(rng.Intn(2*n + 1))
+		got, want := a.integerize(make([]int64, n), slot, raw, target), ref.integers(jobs, rawByJob, target)
+		for i, j := range jobs {
+			if got[i] != want[j] || a.state[slot[i]].remainder != ref.remainder[j] {
+				t.Fatalf("seed %d (n=%d target=%d) job %d: tokens %d remainder %v, naive scan %d / %v",
+					seed, n, target, i, got[i], a.state[slot[i]].remainder, want[j], ref.remainder[j])
+			}
+		}
 	}
 }

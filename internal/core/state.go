@@ -38,10 +38,17 @@ func (a *Allocator) SaveState(w io.Writer) error {
 		PeriodNs:   int64(a.period),
 		PeriodIdx:  a.periodIdx,
 		PoolCarry:  a.poolCarry,
-		Records:    a.records,
-		Remainders: a.remainders,
-		PrevAlloc:  a.prevAlloc,
-		LastActive: a.lastActive,
+		Records:    make(map[JobID]float64, len(a.index)),
+		Remainders: make(map[JobID]float64, len(a.index)),
+		PrevAlloc:  make(map[JobID]int64, len(a.index)),
+		LastActive: make(map[JobID]int, len(a.index)),
+	}
+	for job, slot := range a.index {
+		st := &a.state[slot]
+		s.Records[job] = st.record
+		s.Remainders[job] = st.remainder
+		s.PrevAlloc[job] = st.prevAlloc
+		s.LastActive[job] = st.lastActive
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(s)
@@ -63,24 +70,20 @@ func (a *Allocator) LoadState(r io.Reader) error {
 		return fmt.Errorf("core: state for T_i=%v Δt=%v does not match allocator T_i=%v Δt=%v",
 			s.MaxRate, time.Duration(s.PeriodNs), a.maxRate, a.period)
 	}
+	a.Reset()
 	a.periodIdx = s.PeriodIdx
 	a.poolCarry = s.PoolCarry
-	a.records = orEmpty(s.Records)
-	a.remainders = orEmpty(s.Remainders)
-	a.prevAlloc = s.PrevAlloc
-	if a.prevAlloc == nil {
-		a.prevAlloc = make(map[JobID]int64)
+	for job, v := range s.Records {
+		a.state[a.slotOf(job)].record = v
 	}
-	a.lastActive = s.LastActive
-	if a.lastActive == nil {
-		a.lastActive = make(map[JobID]int)
+	for job, v := range s.Remainders {
+		a.state[a.slotOf(job)].remainder = v
+	}
+	for job, v := range s.PrevAlloc {
+		a.state[a.slotOf(job)].prevAlloc = v
+	}
+	for job, v := range s.LastActive {
+		a.state[a.slotOf(job)].lastActive = v
 	}
 	return nil
-}
-
-func orEmpty(m map[JobID]float64) map[JobID]float64 {
-	if m == nil {
-		return make(map[JobID]float64)
-	}
-	return m
 }

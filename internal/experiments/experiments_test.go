@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptbf/internal/race"
 	"adaptbf/internal/sim"
 )
 
@@ -218,7 +219,7 @@ func TestFrequencySweepShape(t *testing.T) {
 }
 
 func TestOverheadLinearAndFast(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("wall-clock overhead bounds do not hold under the race detector's slowdown")
 	}
 	rep, err := RunOverhead([]int{10, 1000})
@@ -242,6 +243,33 @@ func TestOverheadLinearAndFast(t *testing.T) {
 	// magnitude from n=10 to n=1000 (it should be roughly flat).
 	if r := float64(perJob(rows[1])) / float64(perJob(rows[0])); r > 10 {
 		t.Errorf("per-job cost grew %.1f× from n=10 to n=1000; not linear", r)
+	}
+}
+
+// TestControlCycleScalesLinearly: §IV-G rests "decentralized" on the whole
+// per-OSS cycle — not the allocation alone — staying linear in the active
+// jobs up to 1000. Every rate changes and every queue is loaded, so a rule
+// change that re-sorts the rule list or scans every queue shows up as a
+// per-job cost growing with the job count.
+func TestControlCycleScalesLinearly(t *testing.T) {
+	if race.Enabled {
+		t.Skip("wall-clock overhead bounds do not hold under the race detector's slowdown")
+	}
+	perJob := func(n, iterations int) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for try := 0; try < 3; try++ { // the fastest of three sheds a slow phase of the host
+			d, err := MeasureCycle(n, iterations)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, d)
+		}
+		return best / time.Duration(n)
+	}
+	at100, at1000 := perJob(100, 200), perJob(1000, 20)
+	t.Logf("whole cycle per job: %v at 100 jobs, %v at 1000", at100, at1000)
+	if at1000 > 3*at100 {
+		t.Errorf("cycle cost per job grew from %v at 100 jobs to %v at 1000; not linear", at100, at1000)
 	}
 }
 

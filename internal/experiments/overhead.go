@@ -4,8 +4,12 @@ import (
 	"fmt"
 	"time"
 
+	"adaptbf/internal/controller"
 	"adaptbf/internal/core"
+	"adaptbf/internal/jobstats"
+	"adaptbf/internal/rules"
 	"adaptbf/internal/sim"
+	"adaptbf/internal/tbf"
 )
 
 // syntheticActivities builds n active jobs with varied demands and node
@@ -49,30 +53,125 @@ func MeasureAllocator(n, iterations int) time.Duration {
 	return time.Since(start) / time.Duration(iterations)
 }
 
+// A ControlCycle is one storage target's whole control loop — tracker,
+// allocator, rule daemon, TBF scheduler — under synthetic load from n
+// always-active jobs, for measuring what §IV-G calls the framework
+// overhead: the full collect → allocate → apply rules → clear cycle, not
+// the allocation alone.
+type ControlCycle struct {
+	tracker jobstats.Tracker
+	sched   *tbf.Scheduler
+	ctl     *controller.Controller
+	demand  []jobstats.Stat
+	backlog map[string]int
+	now     int64
+	round   int
+}
+
+// NewControlCycle builds the loop over n jobs and runs it into steady
+// state: every job holds a rule, and every rule's queue holds requests, so
+// each rate change also re-arms a queue deadline in the scheduler's heap.
+func NewControlCycle(n int) (*ControlCycle, error) {
+	const period = 100 * time.Millisecond
+	c := &ControlCycle{
+		sched:   tbf.NewScheduler(tbf.Config{}),
+		demand:  make([]jobstats.Stat, n),
+		backlog: make(map[string]int, n),
+	}
+	nodes := make(map[string]int, n)
+	for i, a := range syntheticActivities(n) {
+		c.demand[i].JobID = string(a.Job)
+		nodes[string(a.Job)] = a.Nodes
+	}
+	c.ctl = controller.New(controller.Config{
+		Stats:  &c.tracker,
+		Nodes:  controller.NodeMapperFunc(func(id string) int { return nodes[id] }),
+		Alloc:  core.New(core.Config{MaxRate: 10000 * float64(n), Period: period}),
+		Daemon: rules.New(c.sched, rules.Config{}),
+		Backlog: func() map[string]int {
+			clear(c.backlog)
+			c.sched.PendingJobsInto(c.backlog)
+			return c.backlog
+		},
+	})
+	if err := c.Step(); err != nil { // installs the rules
+		return nil, err
+	}
+	reqs := make([]tbf.Request, 2*n)
+	for i := range reqs {
+		reqs[i] = tbf.Request{JobID: c.demand[i%n].JobID, Op: tbf.OpWrite, Bytes: 1 << 20}
+		c.sched.Enqueue(&reqs[i], c.now)
+	}
+	for i := 0; i < 3; i++ {
+		if err := c.Step(); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// Step runs one observation period: every job's demand for the period is
+// observed (folded in with one Tracker.Merge, so the cycle is timed and
+// not the per-RPC data path) and the controller ticks. Demands vary from
+// period to period so that every job's rate changes every cycle.
+func (c *ControlCycle) Step() error {
+	c.round++
+	c.now += int64(c.ctl.Period())
+	for j := range c.demand {
+		c.demand[j].RPCs = int64(1 + (c.round+j*53)%900)
+	}
+	c.tracker.Merge(c.demand)
+	return c.ctl.Tick(c.now).Err
+}
+
+// MeasureCycle reports the average wall time of one whole control cycle
+// over n active jobs in steady state.
+func MeasureCycle(n, iterations int) (time.Duration, error) {
+	c, err := NewControlCycle(max(1, n))
+	if err != nil {
+		return 0, err
+	}
+	iterations = max(1, iterations)
+	start := time.Now()
+	for i := 0; i < iterations; i++ {
+		if err := c.Step(); err != nil {
+			return 0, err
+		}
+	}
+	return time.Since(start) / time.Duration(iterations), nil
+}
+
 // DefaultOverheadJobCounts is the §IV-G scaling axis, up to the paper's
 // quoted 1000 active jobs.
 var DefaultOverheadJobCounts = []int{1, 10, 100, 1000}
 
 // RunOverhead reproduces the §IV-G overhead analysis: allocation wall time
-// versus active job count (expect linear scaling, µs-per-job cost), plus
-// the controller's whole-cycle overhead measured inside a live simulation.
+// and whole-cycle wall time versus active job count (expect linear
+// scaling, µs-per-job cost), plus the controller's whole-cycle overhead
+// measured inside a live simulation.
 func RunOverhead(jobCounts []int) (*Report, error) {
 	if len(jobCounts) == 0 {
 		jobCounts = DefaultOverheadJobCounts
 	}
 	rep := &Report{ID: "overhead", Title: "Framework overhead (§IV-G)"}
 
-	alloc := Table{Name: "overhead-allocation", Header: []string{"active jobs", "per call", "per job"}}
+	alloc := Table{Name: "overhead-allocation", Header: []string{"active jobs", "per call", "per job", "cycle", "cycle per job"}}
 	for _, n := range jobCounts {
 		iters := 2000 / n
 		if iters < 5 {
 			iters = 5
 		}
 		per := MeasureAllocator(n, iters)
+		cycle, err := MeasureCycle(n, iters)
+		if err != nil {
+			return nil, err
+		}
 		alloc.Rows = append(alloc.Rows, []string{
 			fmt.Sprintf("%d", n),
 			per.String(),
 			(per / time.Duration(n)).String(),
+			cycle.String(),
+			(cycle / time.Duration(n)).String(),
 		})
 	}
 	rep.Tables = append(rep.Tables, alloc)
@@ -109,11 +208,4 @@ func RunOverhead(jobCounts []int) (*Report, error) {
 	}
 	rep.Tables = append(rep.Tables, cycle)
 	return rep, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -24,8 +24,10 @@
 package gift
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -51,8 +53,34 @@ type Allocation struct {
 // serves every storage target in the system — by design, in contrast with
 // AdapTBF's per-target allocators.
 type Controller struct {
-	epoch   time.Duration
-	coupons map[string]float64
+	epoch time.Duration
+
+	// The coupon bank is a dense table: an application is interned to a
+	// slot on first sight (one map lookup per application per Allocate).
+	index   map[string]int32
+	names   []string  // by slot
+	coupons []float64 // by slot
+	// byName lists the slots in application-name order for the
+	// order-sensitive bank sum; it is rebuilt only after a new application
+	// was interned.
+	byName []int32
+
+	// Per-Allocate scratch, reused so a steady-state epoch allocates
+	// nothing; out is what Allocate returns.
+	scr struct {
+		jobs            []Activity
+		slot            []int32
+		out             []Allocation
+		grants, deficit []float64
+		order           []redeemer
+	}
+}
+
+// redeemer is one demanding application in the redemption order.
+type redeemer struct {
+	coupons float64
+	job     string
+	idx     int
 }
 
 // New returns a Controller with the given decision epoch.
@@ -60,14 +88,19 @@ func New(epoch time.Duration) *Controller {
 	if epoch <= 0 {
 		panic("gift: non-positive epoch")
 	}
-	return &Controller{epoch: epoch, coupons: make(map[string]float64)}
+	return &Controller{epoch: epoch, index: make(map[string]int32)}
 }
 
 // Epoch reports the decision epoch.
 func (c *Controller) Epoch() time.Duration { return c.epoch }
 
 // Coupons reports an application's coupon balance.
-func (c *Controller) Coupons(job string) float64 { return c.coupons[job] }
+func (c *Controller) Coupons(job string) float64 {
+	if s, ok := c.index[job]; ok {
+		return c.coupons[s]
+	}
+	return 0
+}
 
 // BankEntries reports how many applications currently hold a non-zero
 // coupon balance — the size of the global state the centralized
@@ -86,20 +119,45 @@ func (c *Controller) BankEntries() int {
 
 // OutstandingCoupons reports the total coupon balance across all
 // applications — the bandwidth debt the centralized bank still owes.
-// Summation runs in sorted-key order: float addition is not associative,
-// so map-order iteration would make the value differ bit-for-bit between
-// identical runs.
+// Summation runs in application-name order: float addition is not
+// associative, so slot order (first-seen order) would make the value
+// depend on which target happened to report an application first.
 func (c *Controller) OutstandingCoupons() float64 {
-	keys := make([]string, 0, len(c.coupons))
-	for j := range c.coupons {
-		keys = append(keys, j)
+	if len(c.byName) != len(c.names) {
+		c.byName = c.byName[:0]
+		for s := range c.names {
+			c.byName = append(c.byName, int32(s))
+		}
+		slices.SortFunc(c.byName, func(a, b int32) int { return strings.Compare(c.names[a], c.names[b]) })
 	}
-	sort.Strings(keys)
 	var sum float64
-	for _, j := range keys {
-		sum += c.coupons[j]
+	for _, s := range c.byName {
+		sum += c.coupons[s]
 	}
 	return sum
+}
+
+// slotOf interns an application.
+func (c *Controller) slotOf(job string) int32 {
+	s, ok := c.index[job]
+	if !ok {
+		s = int32(len(c.names))
+		c.index[job] = s
+		c.names = append(c.names, job)
+		c.coupons = append(c.coupons, 0)
+	}
+	return s
+}
+
+// sbuf resizes a scratch buffer to n zeroed entries, reusing capacity.
+func sbuf[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	} else {
+		*buf = (*buf)[:n]
+		clear(*buf)
+	}
+	return *buf
 }
 
 // Allocate computes one storage target's next-epoch grants from the
@@ -107,41 +165,46 @@ func (c *Controller) OutstandingCoupons() float64 {
 // in tokens per second. The coupon bank is global: balances earned on one
 // target are redeemable on any other, which is what makes GIFT
 // centralized.
+//
+// The returned slice is the controller's own buffer: it is valid until the
+// next call to Allocate, which overwrites it. Callers that keep an epoch's
+// grants copy them.
 func (c *Controller) Allocate(active []Activity, maxRate float64) []Allocation {
 	if len(active) == 0 {
 		return nil
 	}
 	// Deterministic order; merge duplicates.
-	merged := map[string]int64{}
-	for _, a := range active {
-		d := a.Demand
-		if d < 0 {
-			d = 0
+	buf := append(c.scr.jobs[:0], active...)
+	c.scr.jobs = buf
+	slices.SortStableFunc(buf, func(a, b Activity) int { return strings.Compare(a.Job, b.Job) })
+	jobs := buf[:0]
+	for _, a := range buf {
+		a.Demand = max(a.Demand, 0)
+		if n := len(jobs); n > 0 && jobs[n-1].Job == a.Job {
+			jobs[n-1].Demand += a.Demand
+			continue
 		}
-		merged[a.Job] += d
+		jobs = append(jobs, a)
 	}
-	jobs := make([]string, 0, len(merged))
-	for j := range merged {
-		jobs = append(jobs, j)
-	}
-	sort.Strings(jobs)
 
 	pool := maxRate * c.epoch.Seconds()
 	share := pool / float64(len(jobs))
 
-	out := make([]Allocation, len(jobs))
-	grants := make([]float64, len(jobs))
-	deficit := make([]float64, len(jobs))
+	slot := sbuf(&c.scr.slot, len(jobs))
+	out := sbuf(&c.scr.out, len(jobs))
+	grants := sbuf(&c.scr.grants, len(jobs))
+	deficit := sbuf(&c.scr.deficit, len(jobs))
 	spare := 0.0
 	var totalDeficit float64
 	for i, j := range jobs {
-		d := float64(merged[j])
+		slot[i] = c.slotOf(j.Job)
+		d := float64(j.Demand)
 		if d < share {
 			// Cede the surplus; earn coupons for it.
 			grants[i] = d
 			ceded := share - d
 			spare += ceded
-			c.coupons[j] += ceded
+			c.coupons[slot[i]] += ceded
 			out[i].CouponsEarned = ceded
 		} else {
 			grants[i] = share
@@ -153,24 +216,25 @@ func (c *Controller) Allocate(active []Activity, maxRate float64) []Allocation {
 	// Redemption: demanding applications spend their coupons on spare
 	// bandwidth, highest balance first (GIFT repays its oldest debts
 	// first; balance order is the deterministic stand-in).
-	order := make([]int, 0, len(jobs))
-	for i := range jobs {
+	order := c.scr.order[:0]
+	for i, j := range jobs {
 		if deficit[i] > 0 {
-			order = append(order, i)
+			order = append(order, redeemer{coupons: c.coupons[slot[i]], job: j.Job, idx: i})
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := c.coupons[jobs[order[a]]], c.coupons[jobs[order[b]]]
-		if ca != cb {
-			return ca > cb
+	c.scr.order = order
+	slices.SortFunc(order, func(a, b redeemer) int {
+		if a.coupons != b.coupons {
+			return cmp.Compare(b.coupons, a.coupons)
 		}
-		return jobs[order[a]] < jobs[order[b]]
+		return strings.Compare(a.job, b.job)
 	})
-	for _, i := range order {
+	for _, r := range order {
 		if spare <= 0 {
 			break
 		}
-		redeem := math.Min(math.Min(c.coupons[jobs[i]], deficit[i]), spare)
+		i := r.idx
+		redeem := math.Min(math.Min(r.coupons, deficit[i]), spare)
 		if redeem <= 0 {
 			continue
 		}
@@ -178,7 +242,7 @@ func (c *Controller) Allocate(active []Activity, maxRate float64) []Allocation {
 		deficit[i] -= redeem
 		totalDeficit -= redeem
 		spare -= redeem
-		c.coupons[jobs[i]] -= redeem
+		c.coupons[slot[i]] -= redeem
 		out[i].CouponsRedeemed = redeem
 	}
 
@@ -198,7 +262,7 @@ func (c *Controller) Allocate(active []Activity, maxRate float64) []Allocation {
 
 	sec := c.epoch.Seconds()
 	for i, j := range jobs {
-		out[i].Job = j
+		out[i].Job = j.Job
 		out[i].Tokens = int64(math.Floor(grants[i]))
 		out[i].Rate = grants[i] / sec
 	}

@@ -1,9 +1,12 @@
 package gift
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
+
+	"adaptbf/internal/race"
 )
 
 func controller() *Controller { return New(100 * time.Millisecond) }
@@ -78,7 +81,7 @@ func TestCouponsRedeemedWhenDemandReturns(t *testing.T) {
 
 func TestRedemptionBoundedByBalanceAndSpare(t *testing.T) {
 	c := controller()
-	c.coupons["a"] = 5 // small balance
+	c.coupons[c.slotOf("a")] = 5 // small balance
 	got := byJob(c.Allocate([]Activity{
 		{Job: "a", Demand: 500},
 		{Job: "ceder", Demand: 0},
@@ -113,8 +116,8 @@ func TestPoolConserved(t *testing.T) {
 
 func TestHighestBalanceRedeemsFirst(t *testing.T) {
 	c := controller()
-	c.coupons["rich"] = 100
-	c.coupons["poor"] = 1
+	c.coupons[c.slotOf("rich")] = 100
+	c.coupons[c.slotOf("poor")] = 1
 	got := byJob(c.Allocate([]Activity{
 		{Job: "rich", Demand: 500},
 		{Job: "poor", Demand: 500},
@@ -152,4 +155,52 @@ func TestNewPanicsOnBadEpoch(t *testing.T) {
 		}
 	}()
 	New(0)
+}
+
+// TestAllocateSteadyStateDoesNotAllocate: the central controller walks
+// every storage target every epoch; with the same applications active,
+// their demands moving, a walk stays off the heap.
+func TestAllocateSteadyStateDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	c := controller()
+	active := make([]Activity, 100)
+	for i := range active {
+		active[i].Job = fmt.Sprintf("job%03d", i)
+	}
+	epoch := 0
+	walk := func() {
+		epoch++
+		for j := range active {
+			active[j].Demand = int64((epoch*7 + j*53) % 90) // shares are 10: some cede, some redeem
+		}
+		if got := c.Allocate(active, 10000); len(got) != len(active) {
+			t.Fatalf("%d grants for %d applications", len(got), len(active))
+		}
+		c.OutstandingCoupons()
+	}
+	walk()
+	if n := testing.AllocsPerRun(100, walk); n != 0 {
+		t.Fatalf("steady-state Allocate allocates %.1f times", n)
+	}
+}
+
+// TestOutstandingCouponsSumsInNameOrder: the bank total must not depend on
+// which application the controller happened to see first.
+func TestOutstandingCouponsSumsInNameOrder(t *testing.T) {
+	balances := map[string]float64{"a": 1e16, "b": 1, "c": -1e16, "d": 1}
+	var want float64
+	for _, j := range []string{"a", "b", "c", "d"} {
+		want += balances[j]
+	}
+	for _, firstSeen := range [][]string{{"a", "b", "c", "d"}, {"d", "c", "b", "a"}, {"c", "a", "d", "b"}} {
+		c := controller()
+		for _, j := range firstSeen {
+			c.coupons[c.slotOf(j)] = balances[j]
+		}
+		if got := c.OutstandingCoupons(); got != want {
+			t.Fatalf("first seen in order %v: total %v, want %v", firstSeen, got, want)
+		}
+	}
 }

@@ -3,10 +3,11 @@
 // OST (§III-B of the paper).
 //
 // The tracker counts RPCs and bytes per job ID over an observation period.
-// The System Stats Controller snapshots the counters at each tick, feeds
-// them to the token allocation algorithm, and clears them once the rule
-// daemon has applied the new rates — exactly the collect/allocate/clear
-// cycle of Figure 2.
+// The System Stats Controller drains the counters at each tick — ending
+// the period and starting the next in one step, so no RPC observed
+// meanwhile falls between the two — feeds them to the token allocation
+// algorithm, and merges them back only if the rule daemon could not apply
+// the new rates: the collect/allocate/clear cycle of Figure 2.
 //
 // Counters live in a dense slice indexed by an interned job index, so the
 // per-RPC Observe path is two integer adds; the string-keyed API interns
@@ -20,7 +21,7 @@ package jobstats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -111,8 +112,7 @@ func (t *Tracker) SnapshotAppend(dst []Stat) []Stat {
 			dst = append(dst, s)
 		}
 	}
-	out := dst[base:]
-	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
+	slices.SortFunc(dst[base:], byJobID)
 	return dst
 }
 
@@ -134,10 +134,12 @@ func (t *Tracker) Drain(dst []Stat) []Stat {
 		}
 	}
 	t.active = 0
-	out := dst[base:]
-	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
+	slices.SortFunc(dst[base:], byJobID)
 	return dst
 }
+
+// byJobID orders stats by job ID (unique within a snapshot).
+func byJobID(a, b Stat) int { return strings.Compare(a.JobID, b.JobID) }
 
 // Merge folds the given stats back into the current period (interning
 // unseen job IDs), the undo of a Drain whose consumer failed: the

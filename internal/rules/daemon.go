@@ -10,8 +10,9 @@
 package rules
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -22,7 +23,9 @@ import (
 // An Engine is the slice of the TBF scheduler the daemon drives.
 // *tbf.Scheduler implements it; the real-time OSS wraps it with a lock.
 type Engine interface {
-	Rules() []tbf.Rule
+	// AppendRules appends the active rules to dst and returns the
+	// extended slice.
+	AppendRules(dst []tbf.Rule) []tbf.Rule
 	StartRule(r tbf.Rule, now int64) error
 	ChangeRule(name string, rate float64, order int, now int64) error
 	StopRule(name string, now int64) error
@@ -63,7 +66,9 @@ type Op struct {
 	Order int
 }
 
-// Ops summarizes one reconciliation round.
+// Ops summarizes one reconciliation round. Applied is the daemon's own
+// buffer: it is valid until the daemon's next Apply, which overwrites it.
+// Callers that keep a round's ops copy them.
 type Ops struct {
 	Applied  []Op
 	Duration time.Duration
@@ -101,20 +106,44 @@ type Daemon struct {
 	prefix  string
 	minRate float64
 
+	// Jobs the daemon holds a rule for (or wants one for) are interned to
+	// slots of a dense table: one map lookup per job per pass, and the
+	// memoized rule name lives with the slot. A slot is released when its
+	// rule is stopped, so a long-lived daemon (the wall-clock cluster mode)
+	// does not accumulate one entry per job ID ever seen.
+	index map[core.JobID]int32
+	jobs  []jobRule
+	free  []int32
+	round uint64 // stamps which slots this Apply has touched
+
+	// ranked holds the allocated jobs' slots in priority rank order. It is
+	// kept from one Apply to the next: while the same jobs come back with
+	// the same priorities — the steady state — the ranking stands and no
+	// sort runs.
+	ranked []int32
+
 	// Per-Apply scratch, reused every observation period so the periodic
-	// reconciliation allocates nothing in steady state. names memoizes
-	// RuleName's prefix+job concatenation per job.
-	names    map[core.JobID]string
-	ranked   []core.Allocation
-	desired  map[core.JobID]want
-	existing map[core.JobID]tbf.Rule
-	stale    []core.JobID
+	// reconciliation allocates nothing in steady state.
+	allocated []int32 // this round's slots, in allocation order
+	live      []tbf.Rule
+	stale     []int32
+	applied   []Op
 }
 
-// want is one job's desired rule state for the period.
-type want struct {
-	rate  float64
-	order int
+// jobRule is one job's slot: its rule name, the state the current Apply
+// wants for it, and the state the engine reported.
+type jobRule struct {
+	job  core.JobID
+	name string
+
+	wanted    uint64 // == Daemon.round when the job was allocated this round
+	priority  float64
+	wantRate  float64
+	wantOrder int // rank among the allocated jobs, from 1
+
+	found     uint64 // == Daemon.round when the engine holds a rule for it
+	haveRate  float64
+	haveOrder int
 }
 
 // New returns a Daemon driving the given engine.
@@ -131,25 +160,15 @@ func New(engine Engine, cfg Config) *Daemon {
 		minRate = 1
 	}
 	return &Daemon{
-		engine:   engine,
-		prefix:   prefix,
-		minRate:  minRate,
-		names:    make(map[core.JobID]string),
-		desired:  make(map[core.JobID]want),
-		existing: make(map[core.JobID]tbf.Rule),
+		engine:  engine,
+		prefix:  prefix,
+		minRate: minRate,
+		index:   make(map[core.JobID]int32),
 	}
 }
 
-// RuleName returns the rule name the daemon uses for a job. Names are
-// memoized so the periodic reconciliation does not re-concatenate them.
-func (d *Daemon) RuleName(job core.JobID) string {
-	if name, ok := d.names[job]; ok {
-		return name
-	}
-	name := d.prefix + string(job)
-	d.names[job] = name
-	return name
-}
+// RuleName returns the rule name the daemon uses for a job.
+func (d *Daemon) RuleName(job core.JobID) string { return d.prefix + string(job) }
 
 // jobOf inverts RuleName, reporting whether the rule belongs to the daemon.
 func (d *Daemon) jobOf(ruleName string) (core.JobID, bool) {
@@ -157,6 +176,23 @@ func (d *Daemon) jobOf(ruleName string) (core.JobID, bool) {
 		return "", false
 	}
 	return core.JobID(ruleName[len(d.prefix):]), true
+}
+
+// slotOf interns a job, taking a recycled slot when one is free.
+func (d *Daemon) slotOf(job core.JobID) int32 {
+	if s, ok := d.index[job]; ok {
+		return s
+	}
+	var s int32
+	if n := len(d.free); n > 0 {
+		s, d.free = d.free[n-1], d.free[:n-1]
+	} else {
+		s = int32(len(d.jobs))
+		d.jobs = append(d.jobs, jobRule{})
+	}
+	d.jobs[s] = jobRule{job: job, name: d.RuleName(job)}
+	d.index[job] = s
+	return s
 }
 
 // Apply reconciles the live rules with the allocations at time now.
@@ -170,94 +206,104 @@ func (d *Daemon) jobOf(ruleName string) (core.JobID, bool) {
 // tolerates transient lctl failures.
 func (d *Daemon) Apply(allocs []core.Allocation, now int64) (Ops, error) {
 	start := time.Now()
-	var out Ops
-
-	// Desired state: one exact-match rule per allocated job. The scratch
-	// maps and slices are reused across periods.
-	ranked := append(d.ranked[:0], allocs...)
-	d.ranked = ranked
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Priority != ranked[j].Priority {
-			return ranked[i].Priority > ranked[j].Priority
-		}
-		return ranked[i].Job < ranked[j].Job
-	})
-	desired := d.desired
-	clear(desired)
-	for i, al := range ranked {
-		rate := al.Rate
-		if rate < d.minRate {
-			rate = d.minRate
-		}
-		desired[al.Job] = want{rate: rate, order: i + 1}
+	d.round++
+	d.applied = d.applied[:0]
+	done := func(err error) (Ops, error) {
+		return Ops{Applied: d.applied, Duration: time.Since(start)}, err
 	}
 
-	// Existing daemon-owned rules.
-	existing := d.existing
-	clear(existing)
-	for _, r := range d.engine.Rules() {
-		if job, ok := d.jobOf(r.Name); ok {
-			existing[job] = r
+	// Desired state: one exact-match rule per allocated job, ordered by
+	// priority rank. The ranking of the previous round stands unless a job
+	// came, went or changed priority.
+	stands := len(allocs) == len(d.ranked)
+	allocated := d.allocated[:0]
+	for i := range allocs {
+		s := d.slotOf(allocs[i].Job)
+		j := &d.jobs[s]
+		stands = stands && j.wanted == d.round-1 && j.priority == allocs[i].Priority
+		j.wanted = d.round
+		j.priority = allocs[i].Priority
+		j.wantRate = max(allocs[i].Rate, d.minRate)
+		allocated = append(allocated, s)
+	}
+	d.allocated = allocated
+	if !stands {
+		slices.SortFunc(allocated, func(a, b int32) int {
+			x, y := &d.jobs[a], &d.jobs[b]
+			if x.priority != y.priority {
+				return cmp.Compare(y.priority, x.priority)
+			}
+			return cmp.Compare(x.job, y.job)
+		})
+		d.ranked, d.allocated = allocated, d.ranked
+		for i, s := range d.ranked {
+			d.jobs[s].wantOrder = i + 1
 		}
 	}
 
-	// Stop rules for inactive jobs first, freeing their names.
+	// Existing daemon-owned rules; those of jobs no longer allocated are
+	// stale.
+	d.live = d.engine.AppendRules(d.live[:0])
 	stale := d.stale[:0]
-	for job := range existing {
-		if _, ok := desired[job]; !ok {
-			stale = append(stale, job)
+	for i := range d.live {
+		job, ok := d.jobOf(d.live[i].Name)
+		if !ok {
+			continue
+		}
+		s := d.slotOf(job)
+		j := &d.jobs[s]
+		j.found = d.round
+		j.haveRate = d.live[i].Rate
+		j.haveOrder = d.live[i].Order
+		if j.wanted != d.round {
+			stale = append(stale, s)
 		}
 	}
 	d.stale = stale
-	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
-	for _, job := range stale {
-		name := d.RuleName(job)
-		if err := d.engine.StopRule(name, now); err != nil {
-			out.Duration = time.Since(start)
-			return out, fmt.Errorf("rules: stop %s: %w", name, err)
+
+	// Stop rules for inactive jobs first, freeing their names and slots.
+	slices.SortFunc(stale, func(a, b int32) int { return cmp.Compare(d.jobs[a].job, d.jobs[b].job) })
+	for _, s := range stale {
+		j := &d.jobs[s]
+		if err := d.engine.StopRule(j.name, now); err != nil {
+			return done(fmt.Errorf("rules: stop %s: %w", j.name, err))
 		}
-		// Evict the memoized name with the rule, so a long-lived daemon
-		// (the wall-clock cluster mode) does not accumulate one entry per
-		// job ID ever seen.
-		delete(d.names, job)
-		out.Applied = append(out.Applied, Op{Kind: OpStop, Rule: name, Job: job})
+		d.applied = append(d.applied, Op{Kind: OpStop, Rule: j.name, Job: j.job})
+		delete(d.index, j.job)
+		*j = jobRule{}
+		d.free = append(d.free, s)
 	}
 
 	// Create or change rules for active jobs, highest priority first.
-	for _, al := range ranked {
-		w := desired[al.Job]
-		name := d.RuleName(al.Job)
-		if cur, ok := existing[al.Job]; ok {
-			if cur.Rate == w.rate && cur.Order == w.order {
+	for _, s := range d.ranked {
+		j := &d.jobs[s]
+		if j.found == d.round {
+			if j.haveRate == j.wantRate && j.haveOrder == j.wantOrder {
 				continue // already as desired
 			}
-			if err := d.engine.ChangeRule(name, w.rate, w.order, now); err != nil {
-				out.Duration = time.Since(start)
-				return out, fmt.Errorf("rules: change %s: %w", name, err)
+			if err := d.engine.ChangeRule(j.name, j.wantRate, j.wantOrder, now); err != nil {
+				return done(fmt.Errorf("rules: change %s: %w", j.name, err))
 			}
-			out.Applied = append(out.Applied, Op{Kind: OpChange, Rule: name, Job: al.Job, Rate: w.rate, Order: w.order})
+			d.applied = append(d.applied, Op{Kind: OpChange, Rule: j.name, Job: j.job, Rate: j.wantRate, Order: j.wantOrder})
 			continue
 		}
 		r := tbf.Rule{
-			Name:  name,
-			Match: tbf.Match{JobIDs: []string{string(al.Job)}},
-			Rate:  w.rate,
-			Order: w.order,
+			Name:  j.name,
+			Match: tbf.Match{JobIDs: []string{string(j.job)}},
+			Rate:  j.wantRate,
+			Order: j.wantOrder,
 		}
 		if err := d.engine.StartRule(r, now); err != nil {
-			out.Duration = time.Since(start)
-			return out, fmt.Errorf("rules: start %s: %w", name, err)
+			return done(fmt.Errorf("rules: start %s: %w", j.name, err))
 		}
-		out.Applied = append(out.Applied, Op{Kind: OpStart, Rule: name, Job: al.Job, Rate: w.rate, Order: w.order})
+		d.applied = append(d.applied, Op{Kind: OpStart, Rule: j.name, Job: j.job, Rate: j.wantRate, Order: j.wantOrder})
 	}
-
-	out.Duration = time.Since(start)
-	return out, nil
+	return done(nil)
 }
 
 // StopAll removes every daemon-owned rule, used at shutdown.
 func (d *Daemon) StopAll(now int64) error {
-	for _, r := range d.engine.Rules() {
+	for _, r := range d.engine.AppendRules(nil) {
 		if _, ok := d.jobOf(r.Name); !ok {
 			continue
 		}

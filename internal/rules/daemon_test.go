@@ -2,10 +2,16 @@ package rules
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"adaptbf/internal/core"
+	"adaptbf/internal/race"
 	"adaptbf/internal/tbf"
 )
 
@@ -15,7 +21,7 @@ func alloc(job core.JobID, rate, prio float64) core.Allocation {
 
 func rulesByName(e Engine) map[string]tbf.Rule {
 	m := map[string]tbf.Rule{}
-	for _, r := range e.Rules() {
+	for _, r := range e.AppendRules(nil) {
 		m[r.Name] = r
 	}
 	return m
@@ -224,5 +230,88 @@ func TestOpsDuration(t *testing.T) {
 	ops, _ := d.Apply([]core.Allocation{alloc("a", 1, 1)}, 0)
 	if ops.Duration <= 0 || ops.Duration > time.Second {
 		t.Fatalf("implausible duration %v", ops.Duration)
+	}
+}
+
+// TestApplyMatchesDesiredStateOnRandomRounds: through jobs arriving,
+// leaving, returning, changing priority or nothing changing at all, every
+// Apply leaves exactly one rule per allocated job, at the allocation's
+// (floored) rate and at its rank by (priority descending, job ID) — the
+// fence for the slot table's recycling and the ranking kept across rounds.
+func TestApplyMatchesDesiredStateOnRandomRounds(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := tbf.NewScheduler(tbf.Config{})
+		d := New(s, Config{MinRate: 2})
+		var allocs []core.Allocation
+		for round := 0; round < 200; round++ {
+			switch rng.Intn(4) {
+			case 0: // same jobs, same priorities: only rates move
+				for i := range allocs {
+					allocs[i].Rate = float64(rng.Intn(500))
+				}
+			case 1: // one job changes priority
+				if len(allocs) > 0 {
+					allocs[rng.Intn(len(allocs))].Priority = float64(rng.Intn(4)) / 4
+				}
+			default: // a new active set
+				allocs = allocs[:0]
+				for j := 0; j < 12; j++ {
+					if rng.Intn(2) == 0 {
+						allocs = append(allocs, alloc(core.JobID(fmt.Sprintf("job%02d", j)), float64(rng.Intn(500)), float64(rng.Intn(4))/4))
+					}
+				}
+			}
+			if _, err := d.Apply(allocs, int64(round)); err != nil {
+				t.Fatal(err)
+			}
+			want := slices.Clone(allocs)
+			sort.Slice(want, func(i, j int) bool {
+				if want[i].Priority != want[j].Priority {
+					return want[i].Priority > want[j].Priority
+				}
+				return want[i].Job < want[j].Job
+			})
+			got := rulesByName(s)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d round %d: %d rules for %d allocations", seed, round, len(got), len(want))
+			}
+			for i, al := range want {
+				r, ok := got[d.RuleName(al.Job)]
+				if !ok || r.Rate != math.Max(al.Rate, 2) || r.Order != i+1 {
+					t.Fatalf("seed %d round %d: job %s has rule %+v (present %v), want rate %v order %d",
+						seed, round, al.Job, r, ok, math.Max(al.Rate, 2), i+1)
+				}
+			}
+		}
+	}
+}
+
+// TestApplySteadyStateDoesNotAllocate: the same 100 jobs every period,
+// every rate changing — the reconciliation the controller pays for every
+// 100 ms on every storage target — touches the heap not once.
+func TestApplySteadyStateDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	d := New(tbf.NewScheduler(tbf.Config{}), Config{})
+	rounds := [2][]core.Allocation{}
+	for r := range rounds {
+		for j := 0; j < 100; j++ {
+			rounds[r] = append(rounds[r], alloc(core.JobID(fmt.Sprintf("job%03d", j)), float64(100+j+50*r), float64(1+j%8)/450))
+		}
+	}
+	round := 0
+	apply := func() {
+		round++
+		ops, err := d.Apply(rounds[round%2], int64(round))
+		if err != nil || (round > 1 && len(ops.Applied) != 100) {
+			t.Fatalf("round %d: %d ops, err %v; want all 100 rates changed", round, len(ops.Applied), err)
+		}
+	}
+	apply()
+	apply()
+	if n := testing.AllocsPerRun(100, apply); n != 0 {
+		t.Fatalf("steady-state Apply allocates %.1f times", n)
 	}
 }

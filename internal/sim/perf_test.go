@@ -126,9 +126,10 @@ func steadyStateJobs(files int64) []workload.Job {
 }
 
 // TestSteadyStateAllocBudgets pins the zero-allocation refactor: the
-// per-RPC path may allocate at most 2 allocations per RPC under NoBW, and
-// stays within small budgets under the policy machinery of AdapTBF and
-// SFQ (whose controller ticks amortize over the RPCs of each period).
+// per-RPC path may allocate at most 2 allocations per RPC under NoBW and
+// SFQ, and the control loops of AdapTBF and GIFT — a tick per storage
+// target per period, with every job active throughout — add next to
+// nothing on top (what is left is the results' tick-time slices growing).
 func TestSteadyStateAllocBudgets(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -136,7 +137,8 @@ func TestSteadyStateAllocBudgets(t *testing.T) {
 		budget float64
 	}{
 		{"NoBW", NoBW, 2.0},
-		{"AdapTBF", AdapTBF, 4.0},
+		{"AdapTBF", AdapTBF, 0.05},
+		{"GIFT", GIFT, 0.05},
 		{"SFQ", SFQ, 2.0},
 	}
 	for _, tc := range cases {

@@ -1,9 +1,11 @@
 package tbf
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // A Request is one RPC submitted to the scheduler. Requests are classified
@@ -33,7 +35,7 @@ func (r *Request) Arrival() int64 { return r.arrival }
 // its token bucket and the deadline at which its next request becomes
 // eligible.
 type queue struct {
-	rule     *Rule
+	rule     *rule
 	class    string // the job ID value this queue serves
 	bucket   Bucket
 	reqs     []*Request
@@ -60,17 +62,37 @@ func (q *queue) pop() *Request {
 	return r
 }
 
+// A rule is an installed Rule together with the queues created under it,
+// so a rate change reaches exactly its own queues instead of scanning
+// every queue of the scheduler.
+type rule struct {
+	Rule
+	queues []*queue
+}
+
+// compareRules orders the rule list: by Order, then by Name. Names are
+// unique, so the order is total.
+func compareRules(a, b *rule) int {
+	if c := cmp.Compare(a.Order, b.Order); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Name, b.Name)
+}
+
+// compareSeq orders requests by arrival.
+func compareSeq(a, b *Request) int { return cmp.Compare(a.seq, b.seq) }
+
 // queueKey identifies one (rule, class) queue. A comparable struct key
 // avoids the string concatenation a composite string key would allocate on
 // every routing decision.
 type queueKey struct {
-	rule  *Rule
+	rule  *rule
 	class string
 }
 
 // newQueue takes a recycled queue (or allocates one) and initializes it
 // for a (rule, class) pair at time now.
-func (s *Scheduler) newQueue(r *Rule, class string, now int64) *queue {
+func (s *Scheduler) newQueue(r *rule, class string, now int64) *queue {
 	var q *queue
 	if n := len(s.freeQueues); n > 0 {
 		q = s.freeQueues[n-1]
@@ -85,6 +107,7 @@ func (s *Scheduler) newQueue(r *Rule, class string, now int64) *queue {
 	q.head = 0
 	q.deadline = 0
 	q.heapIdx = -1
+	r.queues = append(r.queues, q)
 	return q
 }
 
@@ -163,8 +186,8 @@ type routeEntry struct {
 // threaded and the real-time OSS serializes access with a mutex.
 type Scheduler struct {
 	depth  float64
-	rules  []*Rule // maintained sorted by (Order, Name)
-	byName map[string]*Rule
+	rules  []*rule // maintained sorted by compareRules
+	byName map[string]*rule
 	queues map[queueKey]*queue
 	ready  readyHeap
 
@@ -176,7 +199,8 @@ type Scheduler struct {
 	// Route cache: for interned requests (SetJobCount called, Request.Job
 	// set), routing is one slice load per request instead of walking the
 	// rule list and wildcard-matching strings. version is bumped whenever
-	// the rule set changes, invalidating every entry at once.
+	// the rule list changes (a rule starts, stops, or moves), invalidating
+	// every entry at once.
 	njobs   int
 	version uint64
 	cache   [routeOps][]routeEntry
@@ -186,6 +210,10 @@ type Scheduler struct {
 	// controller reshuffling rules every observation period stops paying a
 	// queue allocation per (rule, class) per period.
 	freeQueues []*queue
+
+	// requeue is the reused buffer in which StartRule and StopRule collect
+	// the requests they route again.
+	requeue []*Request
 
 	// counters
 	enqueued uint64
@@ -203,7 +231,7 @@ func NewScheduler(cfg Config) *Scheduler {
 	}
 	return &Scheduler{
 		depth:   depth,
-		byName:  make(map[string]*Rule),
+		byName:  make(map[string]*rule),
 		queues:  make(map[queueKey]*queue),
 		version: 1,
 	}
@@ -225,15 +253,15 @@ func (s *Scheduler) SetJobCount(n int) {
 // RuleCount reports the number of active rules.
 func (s *Scheduler) RuleCount() int { return len(s.rules) }
 
-// Rules returns a snapshot of the active rules, sorted by order. The rule
-// management daemon uses it to decide which rules to create, change, or
-// stop.
-func (s *Scheduler) Rules() []Rule {
-	out := make([]Rule, len(s.rules))
-	for i, r := range s.rules {
-		out[i] = *r
+// AppendRules appends a snapshot of the active rules, sorted by order, to
+// dst and returns the extended slice. The rule management daemon calls it
+// every period with one reused buffer to decide which rules to create,
+// change, or stop.
+func (s *Scheduler) AppendRules(dst []Rule) []Rule {
+	for _, r := range s.rules {
+		dst = append(dst, r.Rule)
 	}
-	return out
+	return dst
 }
 
 // RuleByName returns the named rule and whether it exists.
@@ -242,7 +270,7 @@ func (s *Scheduler) RuleByName(name string) (Rule, bool) {
 	if !ok {
 		return Rule{}, false
 	}
-	return *r, true
+	return r.Rule, true
 }
 
 // StartRule installs a new rule at time now. Requests already queued —
@@ -255,10 +283,10 @@ func (s *Scheduler) StartRule(r Rule, now int64) error {
 	if _, ok := s.byName[r.Name]; ok {
 		return fmt.Errorf("tbf: rule %q already exists", r.Name)
 	}
-	rule := r
-	s.byName[r.Name] = &rule
-	s.rules = append(s.rules, &rule)
-	s.sortRules()
+	nr := &rule{Rule: r}
+	s.byName[r.Name] = nr
+	i, _ := slices.BinarySearchFunc(s.rules, nr, compareRules)
+	s.rules = slices.Insert(s.rules, i, nr)
 	s.version++
 	s.reclassify(now)
 	return nil
@@ -266,6 +294,9 @@ func (s *Scheduler) StartRule(r Rule, now int64) error {
 
 // ChangeRule updates the rate and order of the named rule at time now.
 // Existing queues keep their accumulated tokens, as `tbf change` does.
+// Routing depends only on the rule list's sequence, so the route cache is
+// invalidated only when the new order actually moves the rule past a
+// neighbour.
 func (s *Scheduler) ChangeRule(name string, rate float64, order int, now int64) error {
 	r, ok := s.byName[name]
 	if !ok {
@@ -275,19 +306,42 @@ func (s *Scheduler) ChangeRule(name string, rate float64, order int, now int64) 
 		return fmt.Errorf("tbf: rule %q: negative rate %v", name, rate)
 	}
 	r.Rate = rate
-	r.Order = order
-	s.sortRules()
-	s.version++ // a new rule order can change which rule matches first
-	for _, q := range s.queues {
-		if q.rule == r {
-			q.bucket.SetRate(rate, now)
-			if q.pending() > 0 {
-				q.deadline = q.bucket.Deadline(1, now)
-				s.fixHeap(q)
-			}
+	if order != r.Order {
+		s.reorder(r, order)
+	}
+	for _, q := range r.queues {
+		q.bucket.SetRate(rate, now)
+		if q.pending() > 0 {
+			q.deadline = q.bucket.Deadline(1, now)
+			s.fixHeap(q)
 		}
 	}
 	return nil
+}
+
+// reorder gives r its new order and moves it to its sorted place among the
+// other rules, which are in order already: two binary searches and one
+// shift, where re-sorting the list cost O(n log n) per changed rule.
+func (s *Scheduler) reorder(r *rule, order int) {
+	i, _ := slices.BinarySearchFunc(s.rules, r, compareRules)
+	r.Order = order
+	// j is r's index in the list without r: left of i if a left neighbour
+	// now sorts after it, otherwise past the right neighbours before it.
+	j, _ := slices.BinarySearchFunc(s.rules[:i], r, compareRules)
+	if j == i {
+		k, _ := slices.BinarySearchFunc(s.rules[i+1:], r, compareRules)
+		j = i + k
+	}
+	if j == i {
+		return
+	}
+	if j < i {
+		copy(s.rules[j+1:i+1], s.rules[j:i])
+	} else {
+		copy(s.rules[i:j], s.rules[i+1:j+1])
+	}
+	s.rules[j] = r
+	s.version++
 }
 
 // StopRule removes the named rule at time now. Pending requests of its
@@ -299,48 +353,41 @@ func (s *Scheduler) StopRule(name string, now int64) error {
 		return fmt.Errorf("tbf: rule %q does not exist", name)
 	}
 	delete(s.byName, name)
-	for i, rr := range s.rules {
-		if rr == r {
-			s.rules = append(s.rules[:i], s.rules[i+1:]...)
-			break
-		}
-	}
+	i, _ := slices.BinarySearchFunc(s.rules, r, compareRules)
+	s.rules = slices.Delete(s.rules, i, i+1)
 	s.version++
-	var orphans []*Request
-	for key, q := range s.queues {
-		if q.rule != r {
-			continue
-		}
+	orphans := s.requeue[:0]
+	for _, q := range r.queues {
 		for q.pending() > 0 {
 			orphans = append(orphans, q.pop())
 		}
 		if q.heapIdx >= 0 {
 			heap.Remove(&s.ready, q.heapIdx)
 		}
-		delete(s.queues, key)
+		delete(s.queues, queueKey{rule: r, class: q.class})
 		s.releaseQueue(q)
 	}
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i].seq < orphans[j].seq })
-	for _, req := range orphans {
-		s.route(req, now)
-	}
+	r.queues = nil
+	s.rerouteInOrder(orphans, now)
 	return nil
 }
 
-func (s *Scheduler) sortRules() {
-	sort.SliceStable(s.rules, func(i, j int) bool {
-		if s.rules[i].Order != s.rules[j].Order {
-			return s.rules[i].Order < s.rules[j].Order
-		}
-		return s.rules[i].Name < s.rules[j].Name
-	})
+// rerouteInOrder routes displaced requests again in arrival order and
+// keeps their buffer for the next rule change.
+func (s *Scheduler) rerouteInOrder(reqs []*Request, now int64) {
+	slices.SortFunc(reqs, compareSeq)
+	for _, req := range reqs {
+		s.route(req, now)
+	}
+	clear(reqs)
+	s.requeue = reqs[:0]
 }
 
 // reclassify re-routes every queued request through the current rule list.
 // It is invoked when a rule starts so that backlogged fallback requests
 // come under control immediately.
 func (s *Scheduler) reclassify(now int64) {
-	var all []*Request
+	all := s.requeue[:0]
 	for key, q := range s.queues {
 		for q.pending() > 0 {
 			all = append(all, q.pop())
@@ -351,15 +398,15 @@ func (s *Scheduler) reclassify(now int64) {
 		delete(s.queues, key)
 		s.releaseQueue(q)
 	}
+	for _, r := range s.rules {
+		r.queues = r.queues[:0]
+	}
 	for i := s.fbHead; i < len(s.fallback); i++ {
 		all = append(all, s.fallback[i])
 	}
 	s.fallback = s.fallback[:0]
 	s.fbHead = 0
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	for _, req := range all {
-		s.route(req, now)
-	}
+	s.rerouteInOrder(all, now)
 }
 
 // Enqueue classifies and queues a request at time now.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"adaptbf/internal/race"
 )
 
 func req(job string) *Request { return &Request{JobID: job, Op: OpWrite, Bytes: 1 << 20} }
@@ -522,5 +524,138 @@ func TestQueueRecyclingKeepsBucketSemantics(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// ruleNames lists the active rules in match order.
+func ruleNames(s *Scheduler) []string {
+	var names []string
+	for _, r := range s.AppendRules(nil) {
+		names = append(names, r.Name)
+	}
+	return names
+}
+
+// TestChangeRuleReroutesOnlyWhenTheRuleMoves: a rate change, or an order
+// change that keeps the rule between its neighbours, leaves the rule
+// sequence, every cached route and the cache version alone; an order
+// change that moves the rule past a neighbour re-routes.
+func TestChangeRuleReroutesOnlyWhenTheRuleMoves(t *testing.T) {
+	s := NewScheduler(Config{})
+	s.SetJobCount(1)
+	s.StartRule(Rule{Name: "dd", Match: Match{JobIDs: []string{"dd.*"}}, Rate: 10, Order: 10}, 0)
+	s.StartRule(Rule{Name: "all", Match: Match{JobIDs: []string{"*"}}, Rate: 10, Order: 20}, 0)
+	s.StartRule(Rule{Name: "zz", Match: Match{JobIDs: []string{"zz.*"}}, Rate: 10, Order: 30}, 0)
+	s.Enqueue(interned("dd.n1", 0), 0)
+	ddQueue := s.cache[OpAny][0].q
+	if ddQueue == nil || ddQueue.rule.Name != "dd" {
+		t.Fatal("premise: dd.n1 should be cached under rule dd")
+	}
+	version := s.version
+
+	for _, change := range []struct {
+		rate  float64
+		order int
+	}{{75, 20}, {75, 25}, {60, 11}} {
+		if err := s.ChangeRule("all", change.rate, change.order, 1); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(ruleNames(s)); got != "[dd all zz]" {
+			t.Fatalf("change to %+v reordered the rules: %s", change, got)
+		}
+		if s.version != version {
+			t.Fatalf("change to %+v invalidated the route cache", change)
+		}
+		if r, _ := s.RuleByName("all"); r.Rate != change.rate || r.Order != change.order {
+			t.Fatalf("change to %+v not applied: %+v", change, r)
+		}
+	}
+	s.Enqueue(interned("dd.n1", 0), 1)
+	if e := s.cache[OpAny][0]; e.q != ddQueue || ddQueue.pending() != 2 {
+		t.Fatal("a change that moved no rule re-routed dd.n1")
+	}
+
+	// Rule all now sorts before rule dd and claims dd.n1's next request.
+	if err := s.ChangeRule("all", 60, 5, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(ruleNames(s)); got != "[all dd zz]" {
+		t.Fatalf("rules after the move: %s", got)
+	}
+	if s.version == version {
+		t.Fatal("moving a rule left the route cache valid")
+	}
+	s.Enqueue(interned("dd.n1", 0), 2)
+	if q := s.cache[OpAny][0].q; q == nil || q.rule.Name != "all" || q.pending() != 1 {
+		t.Fatal("dd.n1 not routed to the rule that now matches first")
+	}
+}
+
+// TestRuleListStaysSorted: whatever sequence of starts, order changes and
+// stops, the rule list equals the (Order, Name) sort of the live rules —
+// the invariant ChangeRule's single reposition relies on.
+func TestRuleListStaysSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := NewScheduler(Config{})
+	live := map[string]int{} // name → order
+	for step := 0; step < 3000; step++ {
+		name := fmt.Sprintf("r%02d", rng.Intn(40))
+		order := rng.Intn(12) // few distinct orders: ties fall to the name
+		_, exists := live[name]
+		switch {
+		case !exists:
+			if err := s.StartRule(Rule{Name: name, Rate: 1, Order: order}, 0); err != nil {
+				t.Fatal(err)
+			}
+			live[name] = order
+		case rng.Intn(4) == 0:
+			if err := s.StopRule(name, 0); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, name)
+		default:
+			if err := s.ChangeRule(name, 1, order, 0); err != nil {
+				t.Fatal(err)
+			}
+			live[name] = order
+		}
+		got := s.AppendRules(nil)
+		if len(got) != len(live) {
+			t.Fatalf("step %d: %d rules listed, %d live", step, len(got), len(live))
+		}
+		for i, r := range got {
+			if live[r.Name] != r.Order {
+				t.Fatalf("step %d: rule %s has order %d, want %d", step, r.Name, r.Order, live[r.Name])
+			}
+			if i > 0 && (got[i-1].Order > r.Order || (got[i-1].Order == r.Order && got[i-1].Name >= r.Name)) {
+				t.Fatalf("step %d: rules out of order at %d: %v", step, i, ruleNames(s))
+			}
+		}
+	}
+}
+
+// TestChangeRuleDoesNotAllocate: the controller changes every active
+// job's rule every period, so a change — here with the rule's queue
+// loaded, which re-arms its deadline in the heap — must stay off the heap.
+func TestChangeRuleDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	s := NewScheduler(Config{})
+	for i := 0; i < 8; i++ {
+		job := fmt.Sprintf("j%d", i)
+		s.StartRule(Rule{Name: "r" + job, Match: Match{JobIDs: []string{job}}, Rate: 10, Order: i}, 0)
+		s.Enqueue(req(job), 0)
+		s.Enqueue(req(job), 0)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		i++
+		// Rate changes every call; the order change swaps r3 and r4 back and forth.
+		if err := s.ChangeRule("rj3", 10+float64(i%7), 3+2*(i%2), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ChangeRule allocates %.1f times per call", n)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"adaptbf/internal/race"
 )
 
 // TestCallAllocs: the fence for the codec and the pooled call. A CallCtx
@@ -17,7 +19,7 @@ import (
 // nothing the wire is responsible for; three leaves room for what a
 // handler contract forces, none for a reflective encoder.
 func TestCallAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	c := Pipe(echoHandler)
