@@ -86,23 +86,46 @@ func TestOSSEnforcesRuleRate(t *testing.T) {
 }
 
 func TestJobRunnerBounded(t *testing.T) {
-	o := testOSS(t)
-	c := transport.Pipe(o)
-	defer c.Close()
-	runner := &JobRunner{
-		Job: workload.Job{
-			ID:    "j.n1",
-			Nodes: 1,
-			Procs: workload.Replicate(workload.Pattern{FileBytes: 32 * kib64, RPCBytes: kib64}, 3),
-		},
-		Targets: []transport.Caller{c},
-	}
-	stats, err := runner.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.RPCs != 96 || stats.Bytes != 96*kib64 {
-		t.Fatalf("stats = %+v, want 96 RPCs / %d bytes", stats, 96*kib64)
+	// A bounded process issues exactly Pattern.RPCs() requests whatever its
+	// window: fewer RPCs than slots, exactly as many, and a count the window
+	// does not divide.
+	for _, tc := range []struct {
+		name      string
+		procs     int
+		fileBytes int64
+		inflight  int
+		wantRPCs  int64
+	}{
+		{"three procs, default window", 3, 32 * kib64, 0, 96},
+		{"one in flight", 1, 5 * kib64, 1, 5},
+		{"fewer RPCs than slots", 1, 3 * kib64, 8, 3},
+		{"as many RPCs as slots", 2, 8 * kib64, 8, 16},
+		{"window does not divide the count", 1, 21 * kib64, 8, 21},
+		{"a short last RPC still counts", 1, 4*kib64 + 1, 2, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := testOSS(t)
+			c := transport.Pipe(o)
+			defer c.Close()
+			pat := workload.Pattern{FileBytes: tc.fileBytes, RPCBytes: kib64, MaxInflight: tc.inflight}
+			runner := &JobRunner{
+				Job:     workload.Job{ID: "j.n1", Nodes: 1, Procs: workload.Replicate(pat, tc.procs)},
+				Targets: []transport.Caller{c},
+			}
+			stats, err := runner.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(tc.procs) * pat.RPCs(); want != tc.wantRPCs {
+				t.Fatalf("Pattern.RPCs() says %d, the row %d", want, tc.wantRPCs)
+			}
+			if stats.RPCs != tc.wantRPCs || stats.Bytes != tc.wantRPCs*kib64 || stats.OfferedBytes != stats.Bytes {
+				t.Fatalf("stats = %+v, want %d RPCs / %d bytes", stats, tc.wantRPCs, tc.wantRPCs*kib64)
+			}
+			if snap := o.Tracker().Snapshot(); len(snap) != 1 || snap[0].RPCs != tc.wantRPCs {
+				t.Fatalf("tracker snapshot %+v, want %d RPCs", snap, tc.wantRPCs)
+			}
+		})
 	}
 }
 
@@ -133,6 +156,43 @@ func TestJobRunnerStripeCountPinsFiles(t *testing.T) {
 		snap := o.Tracker().Snapshot()
 		if len(snap) != 1 || snap[0].RPCs != 32 {
 			t.Fatalf("OSS %d snapshot %+v, want exactly one 32-RPC file", i, snap)
+		}
+	}
+
+	// The order itself, over three targets: RPC i of a file goes to target
+	// (base + i mod stripes) mod targets, base being the file's stream
+	// modulo the targets. One in flight pins the arrival order; a wider
+	// window may reorder arrivals but not what each target receives.
+	const targets, rpcs = 3, 10
+	for _, stripes := range []int{0, 1, 2} {
+		for _, inflight := range []int{1, 4} {
+			p := newProbe(rpcs, false)
+			runner := &JobRunner{
+				Job: workload.Job{ID: "order.n1", Nodes: 1, Procs: []workload.Pattern{{
+					FileBytes: rpcs*kib64 - 1, RPCBytes: kib64, StripeCount: stripes, MaxInflight: inflight}}},
+				Targets: p.targets(targets),
+			}
+			stats, err := runner.Run(context.Background())
+			if err != nil || stats.RPCs != rpcs {
+				t.Fatalf("stripes %d window %d: %d RPCs, err %v", stripes, inflight, stats.RPCs, err)
+			}
+			got := p.await(t, rpcs)
+			span := stripes
+			if span == 0 {
+				span = targets
+			}
+			var wantPer, gotPer [targets]int
+			for i, a := range got {
+				want := (a.req.Stream%targets + i%span) % targets
+				wantPer[want]++
+				gotPer[a.target]++
+				if inflight == 1 && a.target != want {
+					t.Errorf("stripes %d: RPC %d went to target %d, want %d", stripes, i, a.target, want)
+				}
+			}
+			if gotPer != wantPer {
+				t.Errorf("stripes %d window %d: per-target RPCs %v, want %v", stripes, inflight, gotPer, wantPer)
+			}
 		}
 	}
 }
@@ -188,6 +248,40 @@ func TestJobRunnerBurstPacing(t *testing.T) {
 	}
 	if stats.RPCs != 30 {
 		t.Fatalf("RPCs = %d, want 30", stats.RPCs)
+	}
+
+	// A burst is exactly BurstRPCs requests, then nothing for
+	// BurstInterval, whether it is smaller than the window, equal to it,
+	// or not a multiple of it: the rest is timed from the burst's last
+	// reply, so the gap before each burst's first RPC is never shorter.
+	const interval = 30 * time.Millisecond
+	for _, tc := range []struct{ burst, inflight, bursts int }{
+		{3, 8, 3},
+		{8, 8, 3},
+		{10, 4, 3},
+	} {
+		total := tc.burst * tc.bursts
+		p := newProbe(total, false)
+		runner := &JobRunner{
+			Job: workload.Job{ID: "burst.n1", Nodes: 1, Procs: []workload.Pattern{{
+				FileBytes: int64(total) * kib64, RPCBytes: kib64, MaxInflight: tc.inflight,
+				BurstRPCs: tc.burst, BurstInterval: interval}}},
+			Targets: p.targets(1),
+		}
+		stats, err := runner.Run(context.Background())
+		if err != nil || stats.RPCs != int64(total) {
+			t.Fatalf("burst %d window %d: %d RPCs, err %v", tc.burst, tc.inflight, stats.RPCs, err)
+		}
+		got := p.await(t, total)
+		for i := tc.burst; i < total; i += tc.burst {
+			if gap := got[i].at.Sub(got[i-1].at); gap < interval {
+				t.Errorf("burst %d window %d: RPC %d came %v after the previous burst, want >= %v",
+					tc.burst, tc.inflight, i, gap, interval)
+			}
+		}
+		if peak := p.peaks()[got[0].req.Stream]; peak > tc.inflight || peak > tc.burst {
+			t.Errorf("burst %d window %d: %d outstanding at once", tc.burst, tc.inflight, peak)
+		}
 	}
 }
 

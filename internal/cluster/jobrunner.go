@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,10 +39,12 @@ type JobStats struct {
 	Retries int64
 }
 
-// A JobRunner executes one workload.Job as live goroutines — one per
-// process — issuing RPCs against the given storage targets. Processes
-// stripe their requests round-robin across targets, like a Lustre client
-// striping a file over OSTs.
+// A JobRunner executes one workload.Job as live goroutines issuing RPCs
+// against the given storage targets: one goroutine per process, plus one
+// per further in-flight slot of its window (Pattern.MaxInflight — an
+// OSC's max_rpcs_in_flight), never one per RPC. Processes stripe their
+// requests round-robin across targets, like a Lustre client striping a
+// file over OSTs.
 type JobRunner struct {
 	Job workload.Job
 	// Targets are the storage endpoints: in-process *transport.Client
@@ -65,9 +68,11 @@ type JobRunner struct {
 
 	// Observe, when set, is called once per successfully completed RPC
 	// with the bytes transferred and the client-perceived latency (issue
-	// to reply receipt, retries included). Calls come from per-RPC
-	// goroutines and may be concurrent; the observer must be safe for
-	// concurrent use. This is how the matrix harness's live backend
+	// to reply receipt, retries included). Each call comes from the window
+	// slot that made the RPC, right after its reply and before the slot's
+	// next request, so a slow observer holds that slot back; slots, of one
+	// process or of several, call concurrently, and the observer must be
+	// safe for that. This is how the matrix harness's live backend
 	// assembles timelines and latency digests from a wall-clock run.
 	Observe func(bytes int64, latency time.Duration)
 }
@@ -83,37 +88,39 @@ func (r *JobRunner) Run(ctx context.Context) (JobStats, error) {
 		return JobStats{}, fmt.Errorf("cluster: job %s has no targets", r.Job.ID)
 	}
 	start := time.Now()
-	var stats JobStats
-	var wg sync.WaitGroup
-	errc := make(chan error, len(r.Job.Procs))
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex // stats, first
+		stats JobStats
+		first error
+	)
 	for _, pat := range r.Job.Procs {
 		pat := pat.Normalize()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			ps, err := r.runProc(ctx, pat)
-			atomic.AddInt64(&stats.RPCs, ps.RPCs)
-			atomic.AddInt64(&stats.Bytes, ps.Bytes)
-			atomic.AddInt64(&stats.Rejected, ps.Rejected)
-			atomic.AddInt64(&stats.Shed, ps.Shed)
-			atomic.AddInt64(&stats.OfferedBytes, ps.OfferedBytes)
-			atomic.AddInt64(&stats.Retries, ps.Retries)
-			if err != nil {
-				select {
-				case errc <- err:
-				default:
-				}
+			mu.Lock()
+			defer mu.Unlock()
+			stats.add(ps)
+			if first == nil {
+				first = err
 			}
 		}()
 	}
 	wg.Wait()
 	stats.Elapsed = time.Since(start)
-	select {
-	case err := <-errc:
-		return stats, err
-	default:
-		return stats, nil
-	}
+	return stats, first
+}
+
+// add folds another tally's counters into s (Elapsed is the run's, not a sum).
+func (s *JobStats) add(o JobStats) {
+	s.RPCs += o.RPCs
+	s.Bytes += o.Bytes
+	s.Rejected += o.Rejected
+	s.Shed += o.Shed
+	s.OfferedBytes += o.OfferedBytes
+	s.Retries += o.Retries
 }
 
 // call issues one RPC with the runner's per-attempt deadline and
@@ -130,7 +137,7 @@ func (r *JobRunner) call(ctx context.Context, target transport.Caller, req trans
 	var err error
 	for try := 0; try <= r.Retries; try++ {
 		if try > 0 {
-			atomic.AddInt64(retried, 1)
+			*retried++
 			select {
 			case <-ctx.Done():
 				return rep, ctx.Err()
@@ -159,131 +166,172 @@ func (r *JobRunner) call(ctx context.Context, target transport.Caller, req trans
 	return rep, err
 }
 
-// runProc executes one process: sequential RPCs to its own stream with a
-// bounded in-flight window, optionally grouped into bursts separated by
-// idle intervals.
-func (r *JobRunner) runProc(ctx context.Context, pat workload.Pattern) (st JobStats, err error) {
+// runProc executes one process: RPCs to its own stream through a
+// window of in-flight slots, issued continuously or grouped into bursts
+// separated by idle intervals. A continuous pattern keeps its slots for
+// the whole run; a bursty one starts them once per burst.
+func (r *JobRunner) runProc(ctx context.Context, pat workload.Pattern) (JobStats, error) {
 	if pat.StartDelay > 0 {
 		select {
 		case <-time.After(pat.StartDelay):
 		case <-ctx.Done():
-			return st, ctx.Err()
+			return JobStats{}, ctx.Err()
 		}
 	}
 	stream := int(streamIDs.Add(1))
-	remaining := pat.RPCs() // 0 = unbounded
-	unbounded := remaining == 0
-	// Stripe layout mirrors the simulator: the file's first stripe lands on
-	// a per-file round-robin base and the file spans StripeCount targets
-	// from there (0 = all targets).
-	stripes := pat.StripeCount
-	if stripes <= 0 || stripes > len(r.Targets) {
-		stripes = len(r.Targets)
+	w := &window{
+		r:   r,
+		ctx: ctx,
+		req: transport.Request{
+			JobID:  r.Job.ID,
+			Op:     uint8(pat.Op),
+			Bytes:  pat.RPCBytes,
+			Stream: stream,
+		},
+		slots:     int64(pat.MaxInflight),
+		remaining: pat.RPCs(),
+		// Stripe layout mirrors the simulator: the file's first stripe lands
+		// on a per-file round-robin base and the file spans StripeCount
+		// targets from there (0 = all targets).
+		base:    stream % len(r.Targets),
+		stripes: pat.StripeCount,
 	}
-	base := stream % len(r.Targets)
-	rr := 0
-
-	// issueWindow sends up to n RPCs (all of them if n < 0 and bounded)
-	// respecting the in-flight cap, waits for them all, and returns how
-	// many were issued. Each RPC runs in its own goroutine under CallCtx,
-	// so cancelling ctx bounds in-flight calls too — a wedged target
-	// fails its calls at the deadline instead of hanging the window.
-	issueWindow := func(n int64) (int64, error) {
-		sem := make(chan struct{}, pat.MaxInflight)
-		var wg sync.WaitGroup
-		var sent int64
-		var firstErr error
-		var errMu sync.Mutex
-		for (unbounded || remaining > 0) && (n < 0 || sent < n) {
-			select {
-			case <-ctx.Done():
-				wg.Wait()
-				return sent, ctx.Err()
-			case sem <- struct{}{}:
-			}
-			errMu.Lock()
-			failed := firstErr
-			errMu.Unlock()
-			if failed != nil {
-				<-sem
-				break
-			}
-			target := r.Targets[(base+rr%stripes)%len(r.Targets)]
-			rr++
-			if !unbounded {
-				remaining--
-			}
-			sent++
-			issued := time.Now()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				rep, err := r.call(ctx, target, transport.Request{
-					JobID:  r.Job.ID,
-					Op:     uint8(pat.Op),
-					Bytes:  pat.RPCBytes,
-					Stream: stream,
-				}, &st.Retries)
-				if err != nil {
-					// An admission rejection is a definitive answer from a
-					// healthy server, not a failure: count it, keep going,
-					// and keep it out of the latency observer — rejected
-					// work must never flatter the served distribution.
-					var rej *transport.RejectedError
-					if errors.As(err, &rej) {
-						atomic.AddInt64(&st.OfferedBytes, pat.RPCBytes)
-						if rej.Shed {
-							atomic.AddInt64(&st.Shed, 1)
-						} else {
-							atomic.AddInt64(&st.Rejected, 1)
-						}
-						return
-					}
-					// A call cut short by the run ending is not a job
-					// failure — the issue loop reports ctx.Err() itself.
-					if ctx.Err() == nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("cluster: %w", err)
-						}
-						errMu.Unlock()
-					}
-					return
-				}
-				atomic.AddInt64(&st.OfferedBytes, pat.RPCBytes)
-				atomic.AddInt64(&st.Bytes, rep.Bytes)
-				atomic.AddInt64(&st.RPCs, 1)
-				if r.Observe != nil {
-					r.Observe(rep.Bytes, time.Since(issued))
-				}
-			}()
-		}
-		wg.Wait()
-		errMu.Lock()
-		defer errMu.Unlock()
-		return sent, firstErr
+	if w.remaining == 0 {
+		w.remaining = math.MaxInt64 // unbounded: ctx ends the run
+	}
+	if w.stripes <= 0 || w.stripes > len(r.Targets) {
+		w.stripes = len(r.Targets)
 	}
 
 	if pat.BurstRPCs == 0 {
-		_, err := issueWindow(-1)
-		if unbounded && err == nil {
-			err = ctx.Err()
-		}
-		return st, err
+		w.issue(math.MaxInt64)
+		return w.st, w.err
 	}
-	for unbounded || remaining > 0 {
-		if _, err := issueWindow(int64(pat.BurstRPCs)); err != nil {
-			return st, err
-		}
-		if !unbounded && remaining == 0 {
-			break
+	for {
+		w.issue(int64(pat.BurstRPCs))
+		if w.err != nil || w.remaining == 0 {
+			return w.st, w.err
 		}
 		select {
 		case <-time.After(pat.BurstInterval):
 		case <-ctx.Done():
-			return st, ctx.Err()
+			return w.st, ctx.Err()
 		}
 	}
-	return st, nil
+}
+
+// A window is one process's issue state: what is left to send, in what
+// target order, and what came of it. Its slots — at most MaxInflight
+// goroutines, the process's own among them — share it under mu; between
+// issues (no slot running) it belongs to runProc alone.
+type window struct {
+	r   *JobRunner
+	ctx context.Context
+	req transport.Request
+	wg  sync.WaitGroup
+
+	slots         int64 // MaxInflight
+	base, stripes int   // stripe layout over r.Targets
+
+	mu        sync.Mutex
+	remaining int64 // RPCs the process has yet to issue
+	quota     int64 // RPCs this issue (this burst) may still send
+	rr        int   // RPCs issued so far: the stripe cursor
+	// err ends the run: the first transport error, wrapped once, or
+	// ctx.Err() once a slot found the context over with RPCs left to send.
+	err error
+	st  JobStats
+}
+
+// issue sends up to n of the remaining RPCs with at most MaxInflight
+// outstanding, and returns when every one of them has been answered (or
+// the run has ended). It runs min(MaxInflight, what there is to send)
+// slots, the calling goroutine being one of them — so a window of one
+// issues inline, with no hand-off at all. Each call runs under CallCtx,
+// so cancelling ctx bounds in-flight calls too: a wedged target fails
+// its calls at the deadline instead of hanging the window.
+func (w *window) issue(n int64) {
+	w.quota = n
+	slots := min(w.slots, n, w.remaining) // read before any slot runs
+	for i := int64(1); i < slots; i++ {
+		w.wg.Add(1)
+		go func() {
+			defer w.wg.Done()
+			w.slot()
+		}()
+	}
+	w.slot()
+	w.wg.Wait()
+}
+
+// claim takes the next RPC off the window: its target, in stripe order.
+// It reports false when the slot should stop — nothing left to send in
+// this issue, an earlier error, or the run's context over.
+func (w *window) claim() (transport.Caller, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil || w.quota == 0 || w.remaining == 0 {
+		return nil, false
+	}
+	select {
+	case <-w.ctx.Done():
+		w.err = w.ctx.Err()
+		return nil, false
+	default:
+	}
+	target := w.r.Targets[(w.base+w.rr%w.stripes)%len(w.r.Targets)]
+	w.rr++
+	w.remaining--
+	w.quota--
+	return target, true
+}
+
+// slot is one in-flight position: claim, call, account, observe, until
+// there is nothing left to claim. It counts into its own JobStats and
+// folds them into the window's once, on the way out.
+func (w *window) slot() {
+	var st JobStats
+	var failed error
+	for failed == nil {
+		target, ok := w.claim()
+		if !ok {
+			break
+		}
+		issued := time.Now()
+		rep, err := w.r.call(w.ctx, target, w.req, &st.Retries)
+		if err == nil {
+			st.OfferedBytes += w.req.Bytes
+			st.Bytes += rep.Bytes
+			st.RPCs++
+			if w.r.Observe != nil {
+				w.r.Observe(rep.Bytes, time.Since(issued))
+			}
+			continue
+		}
+		// An admission rejection is a definitive answer from a healthy
+		// server, not a failure: count it, keep going, and keep it out of
+		// the latency observer — rejected work must never flatter the
+		// served distribution.
+		var rej *transport.RejectedError
+		if errors.As(err, &rej) {
+			st.OfferedBytes += w.req.Bytes
+			if rej.Shed {
+				st.Shed++
+			} else {
+				st.Rejected++
+			}
+			continue
+		}
+		// A call cut short by the run ending is not a job failure — the
+		// next claim reports ctx.Err() itself.
+		if w.ctx.Err() == nil {
+			failed = fmt.Errorf("cluster: %w", err)
+		}
+	}
+	w.mu.Lock()
+	if failed != nil && w.err == nil {
+		w.err = failed
+	}
+	w.st.add(st)
+	w.mu.Unlock()
 }

@@ -287,10 +287,16 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// Handle implements transport.Handler: node control opcodes are answered
+// Handle implements transport.Handler for callers that hold a reply
+// func; the served path is Serve.
+func (n *Node) Handle(req transport.Request, reply func(transport.Reply)) {
+	n.Serve(req, transport.ResponderFunc(reply))
+}
+
+// Serve implements transport.Server: node control opcodes are answered
 // here, GIFT walks route to the coordinator, everything else is storage
 // traffic for the OSS.
-func (n *Node) Handle(req transport.Request, reply func(transport.Reply)) {
+func (n *Node) Serve(req transport.Request, r transport.Responder) {
 	switch {
 	case req.Op == OpNodeHealth:
 		buf, err := json.Marshal(NodeHealth{
@@ -301,10 +307,10 @@ func (n *Node) Handle(req transport.Request, reply func(transport.Reply)) {
 			Obs:       n.obs != nil,
 		})
 		if err != nil {
-			reply(transport.Reply{Err: "node: health: " + err.Error()})
+			r.Reply(transport.Reply{Err: "node: health: " + err.Error()})
 			return
 		}
-		reply(transport.Reply{Payload: buf})
+		r.Reply(transport.Reply{Payload: buf})
 	case req.Op == OpObsDrain:
 		var d ObsDrain
 		if n.obs != nil {
@@ -314,25 +320,25 @@ func (n *Node) Handle(req transport.Request, reply func(transport.Reply)) {
 		}
 		buf, err := json.Marshal(d)
 		if err != nil {
-			reply(transport.Reply{Err: "node: obs drain: " + err.Error()})
+			r.Reply(transport.Reply{Err: "node: obs drain: " + err.Error()})
 			return
 		}
-		reply(transport.Reply{Payload: buf})
+		r.Reply(transport.Reply{Payload: buf})
 	case req.Op == OpNodeStats:
 		buf, err := json.Marshal(n.liveStats())
 		if err != nil {
-			reply(transport.Reply{Err: "node: stats: " + err.Error()})
+			r.Reply(transport.Reply{Err: "node: stats: " + err.Error()})
 			return
 		}
-		reply(transport.Reply{Payload: buf})
+		r.Reply(transport.Reply{Payload: buf})
 	case req.Op == OpGIFTWalk && n.coord != nil:
-		n.coord.Handle(req, reply)
+		n.coord.Handle(req, r.Reply)
 	case req.Op >= 0xF0:
-		reply(transport.Reply{Err: fmt.Sprintf("node: no handler for control opcode %#x in role %s", req.Op, n.cfg.Role)})
+		r.Reply(transport.Reply{Err: fmt.Sprintf("node: no handler for control opcode %#x in role %s", req.Op, n.cfg.Role)})
 	case n.srv != nil:
-		n.srv.oss.Handle(req, reply)
+		n.srv.oss.Serve(req, r)
 	default:
-		reply(transport.Reply{Err: "node: coordinator serves control traffic only"})
+		r.Reply(transport.Reply{Err: "node: coordinator serves control traffic only"})
 	}
 }
 

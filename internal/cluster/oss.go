@@ -122,6 +122,11 @@ type requestGate interface {
 // with a single dispatcher goroutine standing in for the I/O thread pool
 // (the device, not the thread count, bounds throughput — as on a real
 // OST).
+//
+// It implements transport.Server: Serve is the one request path, Handle
+// an adapter over it. A request lives in an admitted node from Serve to
+// its reply, and the node has exactly one owner at any moment — Serve,
+// then the gate, then the dispatcher, which recycles it (see admitted).
 type OSS struct {
 	cfg     OSSConfig
 	dev     *device.Device
@@ -150,6 +155,7 @@ type OSS struct {
 	adm         admission.Admitter // nil under always-admit
 	queued      int                // requests currently in the gate (admission bound input)
 	rpcSeq      uint64             // per-RPC trace span id source, under mu
+	free        *admitted          // recycled request nodes, linked through next
 
 	// Observability sinks, resolved once in NewOSS; all nil when obs is
 	// off, so every instrumented seam pays one nil check.
@@ -257,21 +263,36 @@ func (o *OSS) Now() int64 {
 // Tracker exposes the job stats tracker (the controller's stats source).
 func (o *OSS) Tracker() *jobstats.Tracker { return &o.tracker }
 
-// admitted carries a request's reply path and its admission deadline
-// through the gate as the tbf.Request's Userdata.
+// admitted is a request's node inside the OSS: the tbf.Request the gate
+// queues, and with it — Userdata points back at the node — the reply
+// path, admission deadline and trace id the dispatcher needs once the
+// gate releases it.
+//
+// A node has one owner at a time. Serve takes it off the free list and
+// fills it; from gate.Enqueue on it is the gate's, and Serve does not
+// touch it again; Dequeue hands it to the dispatcher, the only goroutine
+// that reads it from then on, and retire puts it back on the free list.
 type admitted struct {
-	reply    func(transport.Reply)
-	deadline int64  // OSS-time admission deadline; 0 = none
-	traceID  uint64 // per-RPC async span id; 0 when tracing is off
+	tbf.Request
+	reply    transport.Responder
+	deadline int64     // OSS-time admission deadline; 0 = none
+	traceID  uint64    // per-RPC async span id; 0 when tracing is off
+	next     *admitted // free-list link, under mu
 }
 
-// Handle implements transport.Handler: admit, classify, account,
-// enqueue, and wake the dispatcher. The reply is issued when the device
-// finishes the request — or immediately, as a typed rejection, when the
-// admission layer refuses it: a rejected request never touches the
-// tracker, the gate, or the device, so it leaves no trace in demand or
-// throughput accounting.
+// Handle implements transport.Handler for callers that hold a reply
+// func; the served path is Serve.
 func (o *OSS) Handle(req transport.Request, reply func(transport.Reply)) {
+	o.Serve(req, transport.ResponderFunc(reply))
+}
+
+// Serve implements transport.Server: admit, classify, account, enqueue,
+// and wake the dispatcher. The reply is issued when the device finishes
+// the request — or immediately, as a typed rejection, when the admission
+// layer refuses it: a rejected request never touches the tracker, the
+// gate, or the device, so it leaves no trace in demand or throughput
+// accounting.
+func (o *OSS) Serve(req transport.Request, r transport.Responder) {
 	o.mu.Lock()
 	now := o.Now()
 	o.offeredBytes += req.Bytes
@@ -296,19 +317,30 @@ func (o *OSS) Handle(req transport.Request, reply func(transport.Reply)) {
 				o.trace.Instant("admit.reject", "admission", o.tid, now, map[string]any{"job": req.JobID})
 				o.trace.AsyncEnd("rpc", "rpc", o.tid, traceID, now, map[string]any{"outcome": "rejected"})
 			}
-			reply(transport.Reply{Reject: transport.RejectRefused})
+			r.Reply(transport.Reply{Reject: transport.RejectRefused})
 			return
 		case admission.Enqueue:
 			deadline = d.Deadline
 		}
 	}
 	o.tracker.Observe(req.JobID, req.Bytes)
-	r := &tbf.Request{
-		JobID:    req.JobID,
-		Op:       tbf.Opcode(req.Op),
-		Bytes:    req.Bytes,
-		Stream:   req.Stream,
-		Userdata: admitted{reply: reply, deadline: deadline, traceID: traceID},
+	ad := o.free
+	if ad != nil {
+		o.free = ad.next
+	} else {
+		ad = new(admitted)
+	}
+	*ad = admitted{
+		Request: tbf.Request{
+			JobID:    req.JobID,
+			Op:       tbf.Opcode(req.Op),
+			Bytes:    req.Bytes,
+			Stream:   req.Stream,
+			Userdata: ad, // a pointer in an interface: no allocation
+		},
+		reply:    r,
+		deadline: deadline,
+		traceID:  traceID,
 	}
 	// Bookkeeping is committed under mu BEFORE the request enters the
 	// gate: the gate is independently locked, so the dispatcher could
@@ -319,8 +351,33 @@ func (o *OSS) Handle(req transport.Request, reply func(transport.Reply)) {
 	if o.trace != nil {
 		o.trace.AsyncBegin("queue", "rpc", o.tid, traceID, now, nil)
 	}
-	o.gate.Enqueue(r, now)
+	o.gate.Enqueue(&ad.Request, now)
 	o.wake()
+}
+
+// retire closes a dequeued request's books — shed, or served and counted
+// as goodput — and recycles its node. Every gate dropped its reference
+// when Dequeue returned the request (tbf nils the queue slot, sfq and edt
+// zero the heap entry), so the dispatcher's was the last one: whatever
+// it still needs of the node, it copied out before calling this.
+func (o *OSS) retire(ad *admitted, served bool) {
+	o.mu.Lock()
+	if served {
+		o.goodputBytes += ad.Bytes
+	} else {
+		o.shed++
+	}
+	if n := o.outstanding[ad.Stream] - 1; n > 0 {
+		o.outstanding[ad.Stream] = n
+	} else {
+		delete(o.outstanding, ad.Stream)
+	}
+	ad.next = o.free
+	o.free = ad
+	o.mu.Unlock()
+	if o.onServed != nil {
+		o.onServed() // frees the SFQ dispatch slot
+	}
 }
 
 func (o *OSS) wake() {
@@ -343,6 +400,11 @@ const pacingQuantum = 2 * time.Millisecond
 // until the earliest token deadline or the next arrival.
 func (o *OSS) dispatch() {
 	defer o.wg.Done()
+	// One timer serves every wait of the dispatcher's life (token
+	// deadlines here, device debt in sleep): Reset arms it, and since Go
+	// 1.23 neither Reset nor Stop leaves a stale tick behind to drain.
+	timer := time.NewTimer(0)
+	defer timer.Stop()
 	var deviceFree int64 // OSS-time instant the device finishes queued work
 	for {
 		now := o.Now()
@@ -354,9 +416,10 @@ func (o *OSS) dispatch() {
 			streams = len(o.outstanding)
 			o.mu.Unlock()
 
-			ad := req.Userdata.(admitted)
+			ad := req.Userdata.(*admitted)
+			reply, traceID, bytes := ad.reply, ad.traceID, ad.Bytes
 			if o.trace != nil {
-				o.trace.AsyncEnd("queue", "rpc", o.tid, ad.traceID, now, nil)
+				o.trace.AsyncEnd("queue", "rpc", o.tid, traceID, now, nil)
 				if o.sfqInfo != nil {
 					slots, depth := o.sfqInfo()
 					o.trace.Instant("sfq.dispatch", "sfq", o.tid, now,
@@ -367,55 +430,35 @@ func (o *OSS) dispatch() {
 			// request that waited past its queueing deadline is dropped
 			// here with a typed rejection — never served late.
 			if ad.deadline != 0 && now > ad.deadline {
-				o.mu.Lock()
-				o.shed++
-				if n := o.outstanding[req.Stream] - 1; n > 0 {
-					o.outstanding[req.Stream] = n
-				} else {
-					delete(o.outstanding, req.Stream)
-				}
-				o.mu.Unlock()
-				if o.onServed != nil {
-					o.onServed() // frees the SFQ dispatch slot
-				}
+				o.retire(ad, false)
 				if o.trace != nil {
-					o.trace.AsyncEnd("rpc", "rpc", o.tid, ad.traceID, o.Now(),
+					o.trace.AsyncEnd("rpc", "rpc", o.tid, traceID, o.Now(),
 						map[string]any{"outcome": "shed"})
 				}
-				ad.reply(transport.Reply{Reject: transport.RejectShed})
+				reply.Reply(transport.Reply{Reject: transport.RejectShed})
 				continue
 			}
-			st := o.dev.ServiceTime(req.Bytes, req.Stream, streams)
+			st := o.dev.ServiceTime(bytes, ad.Stream, streams)
 			if deviceFree < now {
 				deviceFree = now
 			}
 			deviceFree += int64(st)
 			if debt := time.Duration(float64(deviceFree-o.Now()) / o.cfg.Speedup); debt > pacingQuantum {
-				if !o.sleep(debt) {
+				if !o.sleep(timer, debt) {
 					return
 				}
 			}
-			o.mu.Lock()
-			o.goodputBytes += req.Bytes
-			if n := o.outstanding[req.Stream] - 1; n > 0 {
-				o.outstanding[req.Stream] = n
-			} else {
-				delete(o.outstanding, req.Stream)
-			}
-			o.mu.Unlock()
-			if o.onServed != nil {
-				o.onServed() // frees the SFQ dispatch slot
-			}
+			o.retire(ad, true)
 			if o.trace != nil {
 				// The device phase is sequential by construction (one
 				// dispatcher), so a complete span nests cleanly; the RPC
 				// span closes when the reply is issued.
 				end := o.Now()
 				o.trace.Span("device", "rpc", o.tid, now, end, nil)
-				o.trace.AsyncEnd("rpc", "rpc", o.tid, ad.traceID, end,
+				o.trace.AsyncEnd("rpc", "rpc", o.tid, traceID, end,
 					map[string]any{"outcome": "served"})
 			}
-			ad.reply(transport.Reply{Bytes: req.Bytes})
+			reply.Reply(transport.Reply{Bytes: bytes})
 			continue
 		}
 
@@ -431,25 +474,23 @@ func (o *OSS) dispatch() {
 		if delay < 0 {
 			delay = 0
 		}
-		timer := time.NewTimer(delay)
+		timer.Reset(delay)
 		select {
 		case <-timer.C:
 		case <-o.kick:
-			timer.Stop()
 		case <-o.done:
-			timer.Stop()
 			return
 		}
 	}
 }
 
-// sleep waits for d or until the OSS closes, reporting false on close.
-func (o *OSS) sleep(d time.Duration) bool {
+// sleep waits on the dispatcher's timer for d or until the OSS closes,
+// reporting false on close.
+func (o *OSS) sleep(timer *time.Timer, d time.Duration) bool {
 	if d <= 0 {
 		return true
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	timer.Reset(d)
 	select {
 	case <-timer.C:
 		return true

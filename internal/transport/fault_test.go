@@ -252,22 +252,39 @@ func TestServerCrashInFlight(t *testing.T) {
 	close(block)
 }
 
+// twiceServer is a Server that answers every request twice through its
+// Responder; it serves nothing through Handle.
+type twiceServer struct{}
+
+func (twiceServer) Handle(Request, func(Reply)) {}
+
+func (twiceServer) Serve(req Request, r Responder) {
+	r.Reply(Reply{Bytes: req.Bytes})
+	r.Reply(Reply{Bytes: -1}) // duplicate for the same seq
+}
+
 // TestDuplicateReplyDropped: a buggy or replaying server sends two
 // replies for one seq. The first wins; the duplicate is dropped; the
-// client stays usable.
+// client stays usable. A Responder is a value, not a one-shot token, so
+// the same holds for a Server that replies twice.
 func TestDuplicateReplyDropped(t *testing.T) {
-	c := Pipe(HandlerFunc(func(req Request, reply func(Reply)) {
-		reply(Reply{Bytes: req.Bytes})
-		reply(Reply{Bytes: -1}) // duplicate for the same seq
-	}))
-	defer c.Close()
-	for i := 0; i < 10; i++ {
-		rep, err := c.Call(Request{JobID: "j", Bytes: int64(i + 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Bytes != int64(i+1) {
-			t.Fatalf("call %d got duplicate's payload: %d", i, rep.Bytes)
+	for name, h := range map[string]Handler{
+		"handler": HandlerFunc(func(req Request, reply func(Reply)) {
+			reply(Reply{Bytes: req.Bytes})
+			reply(Reply{Bytes: -1}) // duplicate for the same seq
+		}),
+		"server": twiceServer{},
+	} {
+		c := Pipe(h)
+		defer c.Close()
+		for i := 0; i < 10; i++ {
+			rep, err := c.Call(Request{JobID: "j", Bytes: int64(i + 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Bytes != int64(i+1) {
+				t.Fatalf("%s: call %d got duplicate's payload: %d", name, i, rep.Bytes)
+			}
 		}
 	}
 }

@@ -21,6 +21,16 @@
 // payload movement is represented by the server's service time, not by
 // shipping gigabytes through the test harness.
 //
+// The serving side has two shapes. A Handler is handed each request with
+// a reply func, which costs ServeConn one closure per request — right
+// for control planes, tests and anything answered a few times a second.
+// A handler that sits on a data path implements Server as well and is
+// handed a Responder, the same reply path as a plain value (connection
+// and sequence number) it can keep inside its own per-request state, so
+// serving a request allocates nothing here. A Responder is single-use by
+// contract, not by enforcement: nothing at this level is pooled, so a
+// second Reply is simply a duplicate frame the client drops.
+//
 // Every call path is bounded: CallCtx/DoCtx honor context deadlines and
 // cancellation (a server that accepts a request but never replies fails
 // the call at its deadline instead of hanging the caller forever), the
@@ -409,6 +419,10 @@ func (c *Client) Close() error {
 
 // A Handler serves requests. reply must be called exactly once per
 // request, from any goroutine — the server serializes writes.
+//
+// ServeConn makes one closure per request to hand a Handler its reply
+// path. A handler on a data path — one whose per-request cost matters —
+// should implement Server as well, and takes its reply path by value.
 type Handler interface {
 	Handle(req Request, reply func(Reply))
 }
@@ -418,6 +432,39 @@ type HandlerFunc func(req Request, reply func(Reply))
 
 // Handle calls f.
 func (f HandlerFunc) Handle(req Request, reply func(Reply)) { f(req, reply) }
+
+// A Server is a Handler that takes its reply path as a value. ServeConn
+// asks once per connection whether its handler is one and, if so, calls
+// Serve for every request; Handle stays for callers that hold a func —
+// typically the one-line adapter Serve(req, ResponderFunc(reply)).
+type Server interface {
+	Handler
+	Serve(req Request, r Responder)
+}
+
+// A Responder is one request's reply path: a served connection and the
+// request's sequence number, or a wrapped func (ResponderFunc). It is a
+// plain value — copy it, store it in the request's own bookkeeping, call
+// it from any goroutine. It is single-use by contract, not by
+// enforcement: a second Reply sends a second frame under the same
+// sequence number, which the client drops as it drops any duplicate.
+type Responder struct {
+	conn *serverConn
+	seq  uint64
+	fn   func(Reply)
+}
+
+// ResponderFunc wraps a reply func as a Responder.
+func ResponderFunc(fn func(Reply)) Responder { return Responder{fn: fn} }
+
+// Reply sends the request's one reply.
+func (r Responder) Reply(rep Reply) {
+	if r.fn != nil {
+		r.fn(rep)
+		return
+	}
+	r.conn.reply(r.seq, &rep)
+}
 
 // ServeConn reads requests from conn and hands them to h until the
 // connection closes. It returns the read error that ended the loop; a
@@ -432,6 +479,7 @@ func (f HandlerFunc) Handle(req Request, reply func(Reply)) { f(req, reply) }
 // whose replies all vanish.
 func ServeConn(conn net.Conn, h Handler) error {
 	s := &serverConn{w: newFrameWriter(conn, nil)}
+	srv, _ := h.(Server)
 	r := newFrameReader(conn)
 	if err := r.preamble(); err != nil {
 		if hungUp(err) {
@@ -461,7 +509,11 @@ func ServeConn(conn net.Conn, h Handler) error {
 		}
 		seq := req.Seq
 		s.unanswered.Add(1)
-		h.Handle(req, func(rep Reply) { s.reply(seq, &rep) })
+		if srv != nil {
+			srv.Serve(req, Responder{conn: s, seq: seq})
+		} else {
+			h.Handle(req, func(rep Reply) { s.reply(seq, &rep) })
+		}
 	}
 }
 

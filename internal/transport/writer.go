@@ -142,7 +142,13 @@ func (w *frameWriter) flush() {
 		w.mu.Lock()
 		if written > 0 {
 			w.unwritten -= written
-			w.room.Broadcast()
+			// One waiter per frame written, not all of them: a window deeper
+			// than the bound keeps dozens of senders waiting here, and waking
+			// every one for room that takes a few costs the processor the
+			// rest of the connection needs.
+			for i := 0; i < written; i++ {
+				w.room.Signal()
+			}
 		}
 		if len(w.queue) == 0 || w.err != nil {
 			w.busy = false
