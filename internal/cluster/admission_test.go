@@ -126,7 +126,7 @@ type countingCaller struct {
 	err   error
 }
 
-func (c *countingCaller) CallCtx(ctx context.Context, req transport.Request) (transport.Reply, error) {
+func (c *countingCaller) CallWithin(ctx context.Context, req transport.Request, _ time.Duration) (transport.Reply, error) {
 	c.calls.Add(1)
 	return transport.Reply{}, c.err
 }

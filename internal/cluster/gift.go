@@ -224,9 +224,7 @@ func (a *GIFTAgent) walk() {
 	if wt < time.Second {
 		wt = time.Second
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), wt)
-	rep, err := a.coord.CallCtx(ctx, transport.Request{JobID: "gift-walk", Op: OpGIFTWalk, Payload: buf.Bytes()})
-	cancel()
+	rep, err := a.coord.CallWithin(context.Background(), transport.Request{JobID: "gift-walk", Op: OpGIFTWalk, Payload: buf.Bytes()}, wt)
 	if err != nil {
 		a.oss.tracker.Merge(snap)
 		return

@@ -52,10 +52,13 @@ type JobRunner struct {
 	// clients for the remote one.
 	Targets []transport.Caller
 
-	// RPCTimeout bounds each RPC attempt. 0 means no per-attempt
-	// deadline beyond the run context — fine in-process, where a
-	// stalled OSS means a broken test, but remote runs should set it so
-	// a wedged or crashed node fails calls instead of wedging the run.
+	// RPCTimeout bounds each RPC attempt: it is the d of the attempt's
+	// Caller.CallWithin, which the target's client enforces with the one
+	// timer it keeps for all its calls — bounding an attempt makes no
+	// context and no timer of its own. 0 means no per-attempt bound beyond
+	// the run context — fine in-process, where a stalled OSS means a broken
+	// test, but remote runs should set it so a wedged or crashed node fails
+	// calls instead of wedging the run.
 	RPCTimeout time.Duration
 	// Retries is how many extra attempts a transport-level failure gets
 	// (0 = none). Server-reported errors are never retried: the request
@@ -145,15 +148,7 @@ func (r *JobRunner) call(ctx context.Context, target transport.Caller, req trans
 			}
 			backoff *= 2
 		}
-		attemptCtx := ctx
-		var cancel context.CancelFunc
-		if r.RPCTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, r.RPCTimeout)
-		}
-		rep, err = target.CallCtx(attemptCtx, req)
-		if cancel != nil {
-			cancel()
-		}
+		rep, err = target.CallWithin(ctx, req, r.RPCTimeout)
 		if err == nil {
 			return rep, nil
 		}
@@ -247,7 +242,7 @@ type window struct {
 // outstanding, and returns when every one of them has been answered (or
 // the run has ended). It runs min(MaxInflight, what there is to send)
 // slots, the calling goroutine being one of them — so a window of one
-// issues inline, with no hand-off at all. Each call runs under CallCtx,
+// issues inline, with no hand-off at all. Each call runs under ctx,
 // so cancelling ctx bounds in-flight calls too: a wedged target fails
 // its calls at the deadline instead of hanging the window.
 func (w *window) issue(n int64) {

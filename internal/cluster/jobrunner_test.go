@@ -95,7 +95,7 @@ type probeTarget struct {
 
 func (t probeTarget) Close() error { return nil }
 
-func (t probeTarget) CallCtx(ctx context.Context, req transport.Request) (transport.Reply, error) {
+func (t probeTarget) CallWithin(ctx context.Context, req transport.Request, _ time.Duration) (transport.Reply, error) {
 	p := t.p
 	p.mu.Lock()
 	p.out[req.Stream]++

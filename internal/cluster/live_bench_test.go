@@ -16,12 +16,19 @@ import (
 // transport.Pipe → OSS, the benchmark's flat-out device, tokens never
 // binding — for rpcs RPCs with window in flight, and returns when all are
 // served.
-func liveRPCs(tb testing.TB, c *transport.Client, window int, rpcs int64) {
+func liveRPCs(tb testing.TB, c transport.Caller, window int, rpcs int64) {
+	boundedRPCs(tb, c, 0, window, rpcs)
+}
+
+// boundedRPCs is liveRPCs through any target, each attempt bounded by
+// timeout (0: unbounded, as in-process).
+func boundedRPCs(tb testing.TB, c transport.Caller, timeout time.Duration, window int, rpcs int64) {
 	runner := &JobRunner{
 		Job: workload.Job{ID: "big.n08", Nodes: 1, Procs: []workload.Pattern{
 			{FileBytes: rpcs * kib64, RPCBytes: kib64, MaxInflight: window}}},
-		Targets: []transport.Caller{c},
-		Observe: func(int64, time.Duration) {},
+		Targets:    []transport.Caller{c},
+		RPCTimeout: timeout,
+		Observe:    func(int64, time.Duration) {},
 	}
 	stats, err := runner.Run(context.Background())
 	if err != nil || stats.RPCs != rpcs {
@@ -29,13 +36,15 @@ func liveRPCs(tb testing.TB, c *transport.Client, window int, rpcs int64) {
 	}
 }
 
-func livePipe(tb testing.TB) *transport.Client {
+func flatoutOSS(tb testing.TB) *OSS {
 	o := NewOSS(OSSConfig{Device: device.Params{BytesPerSec: 1 << 40, PerRPCOverhead: time.Microsecond}, BucketDepth: 16})
-	c := transport.Pipe(o)
-	tb.Cleanup(func() {
-		c.Close()
-		o.Close()
-	})
+	tb.Cleanup(func() { o.Close() })
+	return o
+}
+
+func livePipe(tb testing.TB) *transport.Client {
+	c := transport.Pipe(flatoutOSS(tb))
+	tb.Cleanup(func() { c.Close() })
 	return c
 }
 
@@ -45,7 +54,9 @@ var liveWindows = []struct {
 }{{"serial", 1}, {"window8", 8}}
 
 // BenchmarkLiveRPC is the cost of one live RPC, everything between
-// JobRunner.Run and the reply included, one in flight and eight.
+// JobRunner.Run and the reply included, one in flight and eight; and,
+// as tcp-bounded, of one remote RPC in flight — a bounded attempt through
+// a Redialer over loopback TCP.
 func BenchmarkLiveRPC(b *testing.B) {
 	for _, w := range liveWindows {
 		b.Run(w.name, func(b *testing.B) {
@@ -56,6 +67,13 @@ func BenchmarkLiveRPC(b *testing.B) {
 			liveRPCs(b, c, w.window, int64(b.N))
 		})
 	}
+	b.Run("tcp-bounded", func(b *testing.B) {
+		r := remoteTarget(b, nil, nil)
+		boundedRPCs(b, r, remoteTimeout, 1, 1000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		boundedRPCs(b, r, remoteTimeout, 1, int64(b.N))
+	})
 }
 
 // TestLiveRPCPathAllocatesNothing fences the live data path's steady

@@ -297,10 +297,17 @@ func (r *Redialer) client() (*Client, error) {
 	return r.cur, nil
 }
 
-// CallCtx issues the request, redialing and retrying transport-level
-// failures until ctx ends or the attempt budget is spent. The last
-// error is returned with its identity intact.
+// CallCtx is CallWithin with no bound beyond ctx.
 func (r *Redialer) CallCtx(ctx context.Context, req Request) (Reply, error) {
+	return r.CallWithin(ctx, req, 0)
+}
+
+// CallWithin issues the request, redialing and retrying transport-level
+// failures until ctx ends, the attempt budget is spent or, when d is
+// positive, d has passed: the attempts and the backoff between them
+// share the one bound. The last error is returned with its identity
+// intact.
+func (r *Redialer) CallWithin(ctx context.Context, req Request, d time.Duration) (Reply, error) {
 	attempts := r.Attempts
 	if attempts <= 0 {
 		attempts = 3
@@ -309,21 +316,34 @@ func (r *Redialer) CallCtx(ctx context.Context, req Request) (Reply, error) {
 	if backoff <= 0 {
 		backoff = 25 * time.Millisecond
 	}
+	var deadline time.Time
+	if d > 0 {
+		deadline = time.Now().Add(d)
+	}
 	var rep Reply
 	var err error
 	for try := 0; try < attempts; try++ {
 		if try > 0 {
 			r.retries.Add(1)
+			wait, expires := backoff, false
+			if !deadline.IsZero() {
+				if left := time.Until(deadline); left <= wait {
+					wait, expires = left, true
+				}
+			}
 			select {
 			case <-ctx.Done():
 				return rep, ctx.Err()
-			case <-time.After(backoff):
+			case <-time.After(wait):
+			}
+			if expires {
+				return rep, context.DeadlineExceeded
 			}
 			backoff *= 2
 		}
 		var c *Client
 		if c, err = r.client(); err == nil {
-			if rep, err = c.CallCtx(ctx, req); err == nil {
+			if rep, err = c.callUntil(ctx, req, deadline); err == nil {
 				return rep, nil
 			}
 			var remote *RemoteError
@@ -338,18 +358,16 @@ func (r *Redialer) CallCtx(ctx context.Context, req Request) (Reply, error) {
 				return rep, err
 			}
 		}
-		if ctx.Err() != nil {
+		if ctx.Err() != nil || (!deadline.IsZero() && !time.Now().Before(deadline)) {
 			return rep, err
 		}
 	}
 	return rep, err
 }
 
-// Call is CallCtx capped at DefaultCallTimeout.
+// Call is CallWithin capped at DefaultCallTimeout.
 func (r *Redialer) Call(req Request) (Reply, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), DefaultCallTimeout)
-	defer cancel()
-	return r.CallCtx(ctx, req)
+	return r.CallWithin(context.Background(), req, DefaultCallTimeout)
 }
 
 // Close poisons the redialer: the current connection is torn down and

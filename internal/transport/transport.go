@@ -31,13 +31,17 @@
 // contract, not by enforcement: nothing at this level is pooled, so a
 // second Reply is simply a duplicate frame the client drops.
 //
-// Every call path is bounded: CallCtx/DoCtx honor context deadlines and
-// cancellation (a server that accepts a request but never replies fails
-// the call at its deadline instead of hanging the caller forever), the
-// bare Call caps itself at DefaultCallTimeout, and a server whose write
-// side has died poisons its connection so the peer's pending calls fail
-// fast. For multi-process deployments, Redialer adds reconnect-on-dial
-// with bounded backoff retry, and Fault/FaultedConn inject deterministic
+// Every call path is bounded. CallWithin takes a bound per call, carried
+// by the call's pending slot: a client keeps one timer, armed at the
+// earliest outstanding bound, which fails every overdue call when it
+// fires — so a server that accepts a request but never replies fails the
+// call at its bound instead of hanging the caller forever, and bounding a
+// call costs neither a context nor a timer of its own. CallWithin and
+// DoCtx also honor their context's deadline and cancellation, the bare
+// Call caps itself at DefaultCallTimeout, and a server whose write side
+// has died poisons its connection so the peer's pending calls fail fast.
+// For multi-process deployments, Redialer adds reconnect-on-dial with
+// bounded backoff retry, and Fault/FaultedConn inject deterministic
 // network misbehaviour (latency, jitter, loss, bandwidth caps) on either
 // side of a connection.
 package transport
@@ -77,7 +81,7 @@ type Reply struct {
 	// Reject, when non-zero, marks an admission-control outcome: the
 	// server refused (RejectRefused) or shed (RejectShed) the request
 	// instead of serving it. It is NOT a failure — the server is healthy
-	// and answered definitively — so CallCtx surfaces it as a typed
+	// and answered definitively — so CallWithin surfaces it as a typed
 	// *RejectedError that retry loops must treat as terminal: retrying
 	// would defeat the overload protection the rejection implements.
 	Reject uint8
@@ -87,8 +91,8 @@ type Reply struct {
 	Payload []byte
 
 	// failure carries the client-side error that produced this reply
-	// (connection death, context expiry) so Call/CallCtx can return the
-	// typed sentinel — errors.Is(err, ErrClosed) and
+	// (connection death, deadline, context expiry) so a call can return
+	// the typed sentinel — errors.Is(err, ErrClosed) and
 	// errors.Is(err, context.DeadlineExceeded) both work — instead of a
 	// stringified copy. Never on the wire: a genuine server-sent error
 	// arrives with failure nil.
@@ -100,7 +104,7 @@ var ErrClosed = errors.New("transport: connection closed")
 
 // DefaultCallTimeout caps the bare Call (no context) so a server that
 // accepts a request and never replies cannot hang its caller forever.
-// Callers needing a different bound should use CallCtx. A variable, not a
+// Callers needing a different bound should use CallWithin. A variable, not a
 // constant, so tests can shrink it; production code must treat it as
 // fixed.
 var DefaultCallTimeout = 2 * time.Minute
@@ -143,22 +147,29 @@ func (e *RejectedError) Error() string {
 // *Redialer (reconnect-on-dial) both implement it; the cluster layer's
 // job runners and GIFT agents accept either.
 type Caller interface {
-	// CallCtx sends a request and waits for its reply, failing at ctx's
-	// deadline or cancellation.
-	CallCtx(ctx context.Context, req Request) (Reply, error)
+	// CallWithin sends a request and waits for its reply. ctx cancels the
+	// call; d, when positive, bounds it, failing it with
+	// context.DeadlineExceeded identity once d has passed. d <= 0 leaves
+	// ctx alone to end it. An expired call is failed by the client's
+	// timer, which takes the call's pending slot and delivers the failure
+	// itself; a reply that lands later is dropped.
+	CallWithin(ctx context.Context, req Request, d time.Duration) (Reply, error)
 	// Close releases the underlying connection(s).
 	Close() error
 }
 
 // pendingCall is one in-flight request's delivery slot. Exactly one
 // goroutine delivers: whoever removes the entry from the pending map
-// (recvLoop on reply, fail on connection death, the waiter itself on
-// context expiry). CallCtx takes its slot from callPool and waits on it
-// inline; DoCtx, which hands the channel out, makes a slot of its own
-// with a settled channel for its context watchdog.
+// (recvLoop on reply, fail on connection death, the client's timer past
+// the deadline, the waiter itself on context expiry). CallWithin takes
+// its slot from callPool and waits on it inline; DoCtx, which hands the
+// channel out, makes a slot of its own with a settled channel for its
+// context watchdog.
 type pendingCall struct {
-	ch      chan Reply    // buffered 1: deliver never blocks
-	settled chan struct{} // closed on delivery; nil on pooled slots
+	ch       chan Reply    // buffered 1: deliver never blocks
+	settled  chan struct{} // closed on delivery; nil on pooled slots
+	seq      uint64
+	deadline time.Time // zero: no bound beyond the waiter's context
 }
 
 func (p *pendingCall) deliver(rep Reply) {
@@ -168,7 +179,7 @@ func (p *pendingCall) deliver(rep Reply) {
 	}
 }
 
-// callPool recycles CallCtx's slots. A slot goes back only after its one
+// callPool recycles CallWithin's slots. A slot goes back only after its one
 // delivery was received (or ruled out), so its channel is always empty.
 var callPool = sync.Pool{New: func() any { return &pendingCall{ch: make(chan Reply, 1)} }}
 
@@ -184,6 +195,12 @@ type Client struct {
 	seq     uint64
 	err     error
 	closed  bool
+
+	// timer fails overdue calls. It is made by the first bounded call and
+	// armed at the earliest pending deadline, or later deadlines' calls
+	// would wait on it; armed is the deadline it is set for (zero: idle).
+	timer *time.Timer
+	armed time.Time
 }
 
 // NewClient wraps an established connection. The caller owns nothing
@@ -273,23 +290,66 @@ func (c *Client) fail(err error) {
 		c.err = err
 	}
 	err = c.err
+	if c.timer != nil {
+		c.timer.Stop()
+	}
 	var stale []*pendingCall
-	var seqs []uint64
 	for seq, p := range c.pending {
 		delete(c.pending, seq)
 		stale = append(stale, p)
-		seqs = append(seqs, seq)
 	}
 	c.mu.Unlock()
-	for i, p := range stale {
-		p.deliver(Reply{Seq: seqs[i], Err: err.Error(), failure: err})
+	for _, p := range stale {
+		p.deliver(failure(p.seq, err))
 	}
 }
 
-// issue registers p as the next seq's slot and sends the request. On a
-// send error the slot is unregistered again — or, when fail() got to it
-// first, its one delivery is consumed — so p is the caller's once more.
-func (c *Client) issue(req *Request, p *pendingCall) (uint64, error) {
+// arm makes sure the timer fires by deadline. Called with c.mu held.
+func (c *Client) arm(deadline time.Time) {
+	if !c.armed.IsZero() && !deadline.Before(c.armed) {
+		return
+	}
+	c.armed = deadline
+	if c.timer == nil {
+		c.timer = time.AfterFunc(time.Until(deadline), c.expire)
+		return
+	}
+	c.timer.Reset(time.Until(deadline))
+}
+
+// expire runs when the timer fires: it takes every call past its
+// deadline, re-arms at the earliest deadline still pending, and fails
+// the overdue calls outside the lock. Deadlines are issue time plus a
+// bound, so the pass finds few pending and fewer overdue.
+func (c *Client) expire() {
+	now := time.Now()
+	var overdue []*pendingCall
+	c.mu.Lock()
+	c.armed = time.Time{}
+	for seq, p := range c.pending {
+		switch {
+		case p.deadline.IsZero():
+		case !p.deadline.After(now):
+			delete(c.pending, seq)
+			overdue = append(overdue, p)
+		case c.armed.IsZero() || p.deadline.Before(c.armed):
+			c.armed = p.deadline
+		}
+	}
+	if !c.armed.IsZero() {
+		c.timer.Reset(c.armed.Sub(now))
+	}
+	c.mu.Unlock()
+	for _, p := range overdue {
+		p.deliver(failure(p.seq, context.DeadlineExceeded))
+	}
+}
+
+// issue registers p as the next seq's slot, due by deadline (zero: no
+// bound), and sends the request. On a send error the slot is unregistered
+// again — or, when fail() or the timer got to it first, its one delivery
+// is consumed — so p is the caller's once more.
+func (c *Client) issue(req *Request, p *pendingCall, deadline time.Time) (uint64, error) {
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -298,6 +358,10 @@ func (c *Client) issue(req *Request, p *pendingCall) (uint64, error) {
 	}
 	c.seq++
 	seq := c.seq
+	p.seq, p.deadline = seq, deadline
+	if !deadline.IsZero() {
+		c.arm(deadline)
+	}
 	c.pending[seq] = p
 	alone := len(c.pending) == 1
 	c.mu.Unlock()
@@ -333,7 +397,7 @@ func (c *Client) DoCtx(ctx context.Context, req Request) (<-chan Reply, uint64, 
 	if ctx.Done() != nil {
 		p.settled = make(chan struct{})
 	}
-	seq, err := c.issue(&req, p)
+	seq, err := c.issue(&req, p, time.Time{})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -343,7 +407,7 @@ func (c *Client) DoCtx(ctx context.Context, req Request) (<-chan Reply, uint64, 
 			case <-p.settled:
 			case <-ctx.Done():
 				if q := c.take(seq); q != nil {
-					q.deliver(expired(ctx, seq))
+					q.deliver(failure(seq, ctx.Err()))
 				}
 			}
 		}()
@@ -351,9 +415,9 @@ func (c *Client) DoCtx(ctx context.Context, req Request) (<-chan Reply, uint64, 
 	return p.ch, seq, nil
 }
 
-// expired is the reply a call gets when its context ends first.
-func expired(ctx context.Context, seq uint64) Reply {
-	return Reply{Seq: seq, Err: ctx.Err().Error(), failure: ctx.Err()}
+// failure is the reply a call gets when err ends it on this side.
+func failure(seq uint64, err error) Reply {
+	return Reply{Seq: seq, Err: err.Error(), failure: err}
 }
 
 // replyError extracts the call error from a delivered reply: the typed
@@ -377,22 +441,35 @@ func replyError(rep Reply) error {
 // DefaultCallTimeout — a stalled server fails the call instead of
 // hanging it forever.
 func (c *Client) Call(req Request) (Reply, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), DefaultCallTimeout)
-	defer cancel()
-	return c.CallCtx(ctx, req)
+	return c.CallWithin(context.Background(), req, DefaultCallTimeout)
 }
 
-// CallCtx sends a request and waits for its reply or ctx's end,
-// whichever comes first. Client-side failures keep their identity:
-// errors.Is(err, ErrClosed) and errors.Is(err, context.DeadlineExceeded)
-// both work; server-reported failures arrive as *RemoteError.
+// CallCtx is CallWithin with no bound beyond ctx.
 func (c *Client) CallCtx(ctx context.Context, req Request) (Reply, error) {
+	return c.CallWithin(ctx, req, 0)
+}
+
+// CallWithin sends a request and waits for its reply, until ctx ends or,
+// when d is positive, d has passed — whichever comes first. Client-side
+// failures keep their identity: errors.Is(err, ErrClosed) and
+// errors.Is(err, context.DeadlineExceeded) both work; server-reported
+// failures arrive as *RemoteError.
+func (c *Client) CallWithin(ctx context.Context, req Request, d time.Duration) (Reply, error) {
+	var deadline time.Time
+	if d > 0 {
+		deadline = time.Now().Add(d)
+	}
+	return c.callUntil(ctx, req, deadline)
+}
+
+// callUntil is CallWithin with its bound as a deadline (zero: none).
+func (c *Client) callUntil(ctx context.Context, req Request, deadline time.Time) (Reply, error) {
 	if err := ctx.Err(); err != nil {
 		return Reply{}, err
 	}
 	p := callPool.Get().(*pendingCall)
 	defer callPool.Put(p)
-	seq, err := c.issue(&req, p)
+	seq, err := c.issue(&req, p, deadline)
 	if err != nil {
 		return Reply{}, err
 	}
@@ -401,7 +478,7 @@ func (c *Client) CallCtx(ctx context.Context, req Request) (Reply, error) {
 	case rep = <-p.ch:
 	case <-ctx.Done():
 		if c.take(seq) != nil {
-			rep = expired(ctx, seq)
+			rep = failure(seq, ctx.Err())
 		} else {
 			rep = <-p.ch // taken a moment ago: its delivery is on the way
 		}
